@@ -47,6 +47,7 @@ from .radio import (
     step,
 )
 from .selectors import (
+    VERIFY_TARGETS,
     Instance,
     IsolationTrace,
     Selector,
@@ -57,6 +58,7 @@ from .selectors import (
     lis_length,
     load_selector,
     save_selector,
+    verify,
     verify_kq_permutation_selector,
     verify_kq_selector,
     verify_permutation_selector,

@@ -10,23 +10,13 @@ comes out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import AttemptsExhaustedError
-from .selectors import (
-    DEFAULT_BUDGET,
-    Selector,
-    Verdict,
-    verify_kq_permutation_selector,
-    verify_kq_selector,
-    verify_permutation_selector,
-    verify_strong,
-)
-
-BUILD_TARGETS = ("strong", "permutation", "kq", "kq_permutation")
+from .selectors import DEFAULT_BUDGET, Selector, check_target, verify
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
@@ -164,21 +154,7 @@ class BuildConfig:
             raise ValueError("max_attempts must be at least 1")
         if self.m_override is not None and self.m_override < 0:
             raise ValueError("m_override must be non-negative")
-        if self.target not in BUILD_TARGETS:
-            raise ValueError(f"target must be one of {BUILD_TARGETS}")
-        if self.target in ("kq", "kq_permutation") and self.q is None:
-            raise ValueError(f"target {self.target} needs q")
-
-
-def run_verifier(selector: Selector, k: int, config: BuildConfig) -> Verdict:
-    """Dispatch to the verifier named by config.target."""
-    if config.target == "strong":
-        return verify_strong(selector, k, config.size_mode, config.budget)
-    if config.target == "permutation":
-        return verify_permutation_selector(selector, k, config.size_mode, config.budget)
-    if config.target == "kq":
-        return verify_kq_selector(selector, k, config.q, config.size_mode, config.budget)
-    return verify_kq_permutation_selector(selector, k, config.q, config.size_mode, config.budget)
+        check_target(self.target, self.q)
 
 
 def _default_m(k: int, universe_size: int, config: BuildConfig) -> int:
@@ -201,7 +177,7 @@ def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Sel
     m = _default_m(k, universe_size, config)
     for attempt in range(1, config.max_attempts + 1):
         selector = random_selector(k, universe_size, m, substream_seed(config.seed, attempt - 1))
-        if run_verifier(selector, k, config).ok:
+        if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
             return selector, attempt
     raise AttemptsExhaustedError(
         f"no verified selector in {config.max_attempts} attempts "
@@ -213,7 +189,8 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig,
                      trials_per_m: int, max_m: Optional[int] = None) -> int:
     """Smallest m at which one of trials_per_m seeded draws verifies.
 
-    Linear scan from m = 1.  Trial j reuses the child seed
+    Linear scan from m = 1 up to max_m, by default the configured length
+    (m_override, else the derived size).  Trial j reuses the child seed
     substream_seed(seed, j) at every length, so together with the per-set
     sub-streams of random_selector a passing trial stays passing at every
     larger m and the scan's answer is well defined.
@@ -221,13 +198,12 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig,
     if trials_per_m < 1:
         raise ValueError("trials_per_m must be at least 1")
     if max_m is None:
-        max_m = _default_m(k, universe_size, config) if config.m_override is None else config.m_override
-        max_m = max(max_m, 1)
+        max_m = _default_m(k, universe_size, config)
     seeds = [substream_seed(config.seed, j) for j in range(trials_per_m)]
     for m in range(1, max_m + 1):
         for s in seeds:
             selector = random_selector(k, universe_size, m, s)
-            if run_verifier(selector, k, config).ok:
+            if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
                 return m
     raise AttemptsExhaustedError(
         f"no verified selector up to m={max_m} with {trials_per_m} trials per length"

@@ -75,43 +75,40 @@ def cmd_verify(args) -> int:
         selector, file_k = selectors.load_selector(args.selector)
     except (OSError, ValueError) as e:
         return _err(f"cannot read selector: {e}")
-    if args.target in ("kq", "kq_permutation") and args.q is None:
-        return _err(f"target {args.target} needs -q")
     k = args.k if args.k is not None else file_k
     try:
-        if args.target == "strong":
-            verdict = selectors.verify_strong(selector, k, args.mode, _budget())
-        elif args.target == "permutation":
-            verdict = selectors.verify_permutation_selector(selector, k, args.mode, _budget())
-        elif args.target == "kq":
-            verdict = selectors.verify_kq_selector(selector, k, args.q, args.mode, _budget())
-        else:
-            verdict = selectors.verify_kq_permutation_selector(selector, k, args.q, args.mode, _budget())
-    except (ValueError, TypeError, BudgetExceededError) as e:
+        verdict = selectors.verify(selector, k, args.target, args.q, args.mode, _budget())
+    except (ValueError, BudgetExceededError) as e:
         return _err(str(e))
     print(verdict.format())
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
 
+def _exact_and_bound(ell: int, k: int, q: Optional[int]) -> tuple[Fraction, Optional[float]]:
+    """The exact miss probability (plain when q is None, else jump) and its
+    bound, or None for the bound when ell is shorter than the pattern."""
+    if q is None:
+        return coupon.p_exact(ell, k), coupon.p_bound(ell, k) if ell >= k else None
+    return coupon.p_jump_exact(ell, k, q), coupon.p_jump_bound(ell, k, q) if ell >= q else None
+
+
 def cmd_prob(args) -> int:
+    # Formatting stays inside the try: a huge numerator exceeds Python's
+    # int-to-str digit limit with a ValueError.
     try:
-        if args.q is None:
-            exact = coupon.p_exact(args.ell, args.k)
-            bound = coupon.p_bound(args.ell, args.k) if args.ell >= args.k else None
-        else:
-            exact = coupon.p_jump_exact(args.ell, args.k, args.q)
-            bound = coupon.p_jump_bound(args.ell, args.k, args.q) if args.ell >= args.q else None
+        exact, bound = _exact_and_bound(args.ell, args.k, args.q)
+        parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
+        if bound is not None:
+            ratio = bound / float(exact) if exact > 0 else float("inf")
+            parts.append(f"p_bound={bound!r}")
+            parts.append(f"ratio={ratio!r}")
+        lines = [" ".join(parts)]
+        if args.trials:
+            est, se = coupon.p_monte_carlo(args.ell, args.k, args.q, args.trials, args.seed)
+            lines.append(f"mc_estimate={est!r} mc_std_error={se!r} trials={args.trials}")
     except ValueError as e:
         return _err(str(e))
-    parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
-    if bound is not None:
-        ratio = bound / float(exact) if exact > 0 else float("inf")
-        parts.append(f"p_bound={bound!r}")
-        parts.append(f"ratio={ratio!r}")
-    print(" ".join(parts))
-    if args.trials:
-        est, se = coupon.p_monte_carlo(args.ell, args.k, args.q, args.trials, args.seed)
-        print(f"mc_estimate={est!r} mc_std_error={se!r} trials={args.trials}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -141,7 +138,7 @@ def cmd_minsize(args) -> int:
             q=args.q,
             budget=_budget(),
         )
-        m = build.minimal_m_search(args.k, args.N, config, args.trials, args.max_m)
+        m = build.minimal_m_search(args.k, args.N, config, args.trials)
     except (ValueError, BudgetExceededError) as e:
         return _err(str(e))
     except AttemptsExhaustedError as e:
@@ -167,6 +164,9 @@ def cmd_simulate(args) -> int:
             kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
         if args.selector is not None:
             loaded, _ = selectors.load_selector(args.selector)
+            if loaded.universe_size != network.n:
+                return _err(f"selector universe {loaded.universe_size} does not match "
+                            f"network size {network.n}")
             provider = lambda k, n: loaded
         else:
             config = build.BuildConfig(
@@ -195,12 +195,7 @@ def cmd_sweep(args) -> int:
     lines = ["ell,k,q,exact_num,exact_den,bound"]
     try:
         for ell in range(args.ell_min, args.ell_max + 1):
-            if args.q is None:
-                exact = coupon.p_exact(ell, args.k)
-                bound = coupon.p_bound(ell, args.k) if ell >= args.k else None
-            else:
-                exact = coupon.p_jump_exact(ell, args.k, args.q)
-                bound = coupon.p_jump_bound(ell, args.k, args.q) if ell >= args.q else None
+            exact, bound = _exact_and_bound(ell, args.k, args.q)
             q_col = "" if args.q is None else str(args.q)
             b_col = "" if bound is None else repr(bound)
             lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-N", type=int, required=True, help="universe size")
     p.add_argument("-m", type=int, default=None, help="override the derived length")
-    p.add_argument("--target", choices=build.BUILD_TARGETS, default="permutation")
+    p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
     p.add_argument("--mode", choices=selectors.SIZE_MODES, default="up_to")
     p.add_argument("-q", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -242,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("selector")
     p.add_argument("-k", type=int, default=None, help="defaults to the k in the file header")
     p.add_argument("-q", type=int, default=None)
-    p.add_argument("--target", choices=("strong", "permutation", "kq", "kq_permutation"),
-                   default="permutation")
+    p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
     p.add_argument("--mode", choices=selectors.SIZE_MODES, default="exact")
     p.set_defaults(func=cmd_verify)
 
@@ -265,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minsize", help="empirical smallest verifying length")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-N", type=int, required=True)
-    p.add_argument("--target", choices=build.BUILD_TARGETS, default="permutation")
+    p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
     p.add_argument("--mode", choices=selectors.SIZE_MODES, default="exact")
     p.add_argument("-q", type=int, default=None)
     p.add_argument("--trials", type=int, default=50)

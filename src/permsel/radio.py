@@ -18,7 +18,7 @@ transmission records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -168,9 +168,6 @@ class SimState:
         self.round: int = 0
         self.phase_rounds: dict[str, int] = {}
 
-    def active(self, v: int) -> bool:
-        return self.rumor_active[v]
-
     def active_nodes(self) -> frozenset[int]:
         return frozenset(v for v in range(self.network.n) if self.rumor_active[v])
 
@@ -196,7 +193,6 @@ class RoundRecord:
     transmitters: frozenset[int]
     received: tuple[tuple[int, int], ...]  # (receiver, sender), sorted by receiver
     collisions: frozenset[int]
-    rumor_total: int
 
     def line(self) -> str:
         tx = ",".join(str(v) for v in sorted(self.transmitters))
@@ -257,20 +253,18 @@ def save_trace(path, trace: SimTrace) -> None:
 # ---------------------------------------------------------------------------
 
 def step(network: Network, state: SimState, transmitters: Iterable[int],
-         message_of: Optional[Callable[[int], Iterable[int]]] = None,
          phase: str = "manual", trace: Optional[TraceBuilder] = None) -> RoundRecord:
     """Run one round: every transmitter sends simultaneously; node v receives
     iff it has exactly one transmitting in-neighbor.
 
-    Messages default to each transmitter's full rumor set, snapshotted at
-    the start of the round.
+    Each message is the transmitter's full rumor set, snapshotted at the
+    start of the round.
     """
     tx = frozenset(transmitters)
     for u in tx:
         if not 0 <= u < network.n:
             raise ValueError(f"unknown transmitter label {u}")
-    msgs = {u: frozenset(message_of(u)) if message_of is not None else frozenset(state.rumors_held[u])
-            for u in tx}
+    msgs = {u: frozenset(state.rumors_held[u]) for u in tx}
     count: dict[int, int] = {}
     sender: dict[int, int] = {}
     for u in tx:
@@ -289,7 +283,6 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
         transmitters=tx,
         received=received,
         collisions=collisions,
-        rumor_total=sum(len(s) for s in state.rumors_held),
     )
     state.charge(phase, 1)
     if trace is not None:
@@ -320,12 +313,22 @@ def audit_trace(network: Network, trace: SimTrace) -> bool:
 # broadcast
 # ---------------------------------------------------------------------------
 
-def _broadcast_round_robin(network: Network, state: SimState, source: int,
-                           phase: str, trace: Optional[TraceBuilder]) -> int:
-    """Deterministic broadcast: repeat the singleton schedule {0},{1},...,
+def broadcast(network: Network, state: SimState, source: int,
+              phase: str = "disperse", trace: Optional[TraceBuilder] = None) -> int:
+    """Deliver the source's current rumor set to every node; returns the
+    number of rounds used.
+
+    Deterministic round robin: repeat the singleton schedule {0},{1},...,
     {n-1}, each node transmitting in its slot once it holds the payload.
     Each pass pushes the payload one distance layer further; the run stops
-    as soon as every node holds it (global completion check)."""
+    as soon as every node holds it (global completion check).
+    """
+    if not 0 <= source < network.n:
+        raise ValueError(f"unknown source label {source}")
+    reachable = _reachable(network.out_edges, source)
+    if len(reachable) != network.n:
+        missing = min(set(range(network.n)) - reachable)
+        raise UnreachableNodeError(source, missing)
     payload = frozenset(state.rumors_held[source])
     holds = [payload <= state.rumors_held[v] for v in range(network.n)]
     rounds = 0
@@ -344,27 +347,8 @@ def _broadcast_round_robin(network: Network, state: SimState, source: int,
     return rounds
 
 
-BROADCAST_STRATEGIES = {"round_robin": _broadcast_round_robin}
-
-
-def broadcast(network: Network, state: SimState, source: int,
-              strategy="round_robin", phase: str = "disperse",
-              trace: Optional[TraceBuilder] = None) -> int:
-    """Deliver the source's current rumor set to every node; returns the
-    number of rounds used.  `strategy` is the name of a registered strategy
-    or a callable with the same signature as the default."""
-    if not 0 <= source < network.n:
-        raise ValueError(f"unknown source label {source}")
-    reachable = _reachable(network.out_edges, source)
-    if len(reachable) != network.n:
-        missing = min(set(range(network.n)) - reachable)
-        raise UnreachableNodeError(source, missing)
-    fn = BROADCAST_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
-    return fn(network, state, source, phase, trace)
-
-
 def measure_broadcast_rounds(network: Network, source: int = 0) -> int:
-    """Rounds the default broadcast takes on a fresh state; a practical stand-in
+    """Rounds a broadcast from source takes on a fresh state; a practical stand-in
     for the broadcast-time parameter of `choose_kappa`."""
     return broadcast(network, SimState(network), source)
 
@@ -374,8 +358,7 @@ def measure_broadcast_rounds(network: Network, source: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 def disperse(network: Network, state: SimState, mu: int,
-             strategy="round_robin", trace: Optional[TraceBuilder] = None,
-             hook: Optional[Hook] = None) -> int:
+             trace: Optional[TraceBuilder] = None, hook: Optional[Hook] = None) -> int:
     """While some node holds at least mu active rumors, broadcast from the
     node holding the most (lowest label on ties) and mark every rumor it
     carried at the start of its broadcast dormant.  Returns the number of
@@ -391,7 +374,7 @@ def disperse(network: Network, state: SimState, mu: int,
             break
         source = counts.index(best)  # lowest label among the maxima
         payload = frozenset(state.rumors_held[source])
-        rounds = broadcast(network, state, source, strategy, "disperse", trace)
+        rounds = broadcast(network, state, source, "disperse", trace)
         state.charge("disperse", rounds * log_factor)  # selection surcharge
         for r in payload:
             state.rumor_active[r] = False
@@ -419,7 +402,7 @@ def _max_active_in_degree(network: Network, state: SimState) -> int:
 
 def quasi_gossip(network: Network, state: SimState, kappa: int,
                  selector_provider: Callable[[int, int], Selector],
-                 strategy="round_robin", trace: Optional[TraceBuilder] = None,
+                 trace: Optional[TraceBuilder] = None,
                  hook: Optional[Hook] = None) -> TraceBuilder:
     """Run the quasi-gossip protocol:
 
@@ -442,7 +425,7 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         trace = TraceBuilder()
     for v in range(network.n):
         step(network, state, {v}, phase="rr", trace=trace)
-    disperse(network, state, kappa, strategy, trace, hook)
+    disperse(network, state, kappa, trace, hook)
     max_in = _max_active_in_degree(network, state)
     trace.checks["post_line4_max_active_in_degree"] = max_in
     if max_in >= kappa:
@@ -460,7 +443,7 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
             active = state.active_nodes()
             for s in selector.sets:
                 step(network, state, s & active, phase="selector", trace=trace)
-            disperse(network, state, half, strategy, trace, hook)
+            disperse(network, state, half, trace, hook)
             done = check_quasi_gossip_done(network, state)
             if hook is not None:
                 hook("after_iteration", network, state, iteration=iteration, done=done)
@@ -478,7 +461,7 @@ def gossip_complete(network: Network, state: SimState) -> bool:
 
 def gossip(network: Network, kappa: int,
            selector_provider: Callable[[int, int], Selector],
-           strategy="round_robin", hook: Optional[Hook] = None) -> SimTrace:
+           hook: Optional[Hook] = None) -> SimTrace:
     """Full gossip: run quasi-gossip from a fresh state, then replay its
     entire transmitter schedule once.  Audits that every node ends holding
     all n rumors."""
@@ -486,7 +469,7 @@ def gossip(network: Network, kappa: int,
         raise NotStronglyConnectedError("gossip requires a strongly connected network")
     state = initial_state(network)
     trace = TraceBuilder()
-    quasi_gossip(network, state, kappa, selector_provider, strategy, trace, hook)
+    quasi_gossip(network, state, kappa, selector_provider, trace, hook)
     schedule = [(rec.phase, rec.transmitters) for rec in trace.records]
     trace.replay_start = len(trace.records)
     for phase, tx in schedule:

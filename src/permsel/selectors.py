@@ -215,10 +215,6 @@ def lis_length(positions: Sequence[int]) -> int:
 # instance enumeration
 # ---------------------------------------------------------------------------
 
-def _sizes(k: int, size_mode: str) -> range:
-    return range(k, k + 1) if size_mode == "exact" else range(1, k + 1)
-
-
 def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[Label, ...]]:
     """Subsets of [0, universe_size) of the requested size(s), as sorted tuples
     in lexicographic order (a prefix sorts before each of its extensions)."""
@@ -237,30 +233,39 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
     yield from extend((), 0)
 
 
-def _instance_count(universe_size: int, k: int, size_mode: str, ordered: bool) -> int:
-    total = 0
-    for s in _sizes(k, size_mode):
-        total += comb(universe_size, s) * (factorial(s) if ordered else 1)
-    return total
+def _traces(selector: Selector, k: int, q: Optional[int], size_mode: str, budget: int,
+            ordered: bool) -> Iterator[tuple[tuple[Label, ...], list[Label]]]:
+    """Validate the arguments, charge the budget, then yield every target set
+    X in lexicographic order with the labels of its isolation trace.
 
-
-def _require_budget(cost: int, budget: int) -> None:
-    if cost > budget:
-        raise BudgetExceededError(
-            f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
-        )
-
-
-def _validate_k(selector: Selector, k: int) -> None:
+    The budget charge is (instances) * max(m, 1), counting each ordering of
+    X as an instance when `ordered`.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > selector.universe_size:
         raise ValueError(f"k={k} exceeds universe size {selector.universe_size}")
+    _check_mode(size_mode)
+    if q is not None and not 1 <= q <= k:
+        raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
+    sizes = range(k, k + 1) if size_mode == "exact" else range(1, k + 1)
+    instances = sum(comb(selector.universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
+    cost = instances * max(len(selector), 1)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
+        )
+    masks = selector.masks()
+    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
+        yield x_tuple, _trace_labels(masks, _mask(x_tuple))
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
+
+VERIFY_TARGETS = ("strong", "permutation", "kq", "kq_permutation")
+
 
 def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
                   budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -269,14 +274,8 @@ def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
     Mode "exact" ranges over sets of size exactly k, "up_to" over sizes
     1..k.  Returns the lexicographically smallest failing (X, x).
     """
-    _validate_k(selector, k)
-    _check_mode(size_mode)
-    m = len(selector)
-    _require_budget(_instance_count(selector.universe_size, k, size_mode, ordered=False) * max(m, 1), budget)
-    masks = selector.masks()
-    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        xmask = _mask(x_tuple)
-        seen = set(_trace_labels(masks, xmask))
+    for x_tuple, labels in _traces(selector, k, None, size_mode, budget, ordered=False):
+        seen = set(labels)
         for x in x_tuple:
             if x not in seen:
                 return Verdict(ok=False, x_set=x_tuple, element=x)
@@ -290,13 +289,8 @@ def verify_permutation_selector(selector: Selector, k: int, size_mode: str = "ex
     Returns the lexicographically smallest failing instance (X sorted,
     then the order lexicographically).
     """
-    _validate_k(selector, k)
-    _check_mode(size_mode)
-    m = len(selector)
-    _require_budget(_instance_count(selector.universe_size, k, size_mode, ordered=True) * max(m, 1), budget)
-    masks = selector.masks()
-    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        pos = _positions_by_label(_trace_labels(masks, _mask(x_tuple)))
+    for x_tuple, labels in _traces(selector, k, None, size_mode, budget, ordered=True):
+        pos = _positions_by_label(labels)
         for order in permutations(x_tuple):
             if not _contains_in_order(pos, order):
                 return Verdict(ok=False, x_set=x_tuple, order=order)
@@ -310,16 +304,8 @@ def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exa
     For target sets smaller than q (possible in up_to mode) the requirement
     drops to the set's size.
     """
-    _validate_k(selector, k)
-    _check_mode(size_mode)
-    if not 1 <= q <= k:
-        raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
-    m = len(selector)
-    _require_budget(_instance_count(selector.universe_size, k, size_mode, ordered=False) * max(m, 1), budget)
-    masks = selector.masks()
-    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        seen = set(_trace_labels(masks, _mask(x_tuple)))
-        if len(seen) < min(q, len(x_tuple)):
+    for x_tuple, labels in _traces(selector, k, q, size_mode, budget, ordered=False):
+        if len(set(labels)) < min(q, len(x_tuple)):
             return Verdict(ok=False, x_set=x_tuple)
     return OK
 
@@ -334,21 +320,34 @@ def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
     subsequence of those positions reaches q (capped at the instance size
     in up_to mode).
     """
-    _validate_k(selector, k)
-    _check_mode(size_mode)
-    if not 1 <= q <= k:
-        raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
-    m = len(selector)
-    _require_budget(_instance_count(selector.universe_size, k, size_mode, ordered=True) * max(m, 1), budget)
-    masks = selector.masks()
-    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        labels = _trace_labels(masks, _mask(x_tuple))
+    for x_tuple, labels in _traces(selector, k, q, size_mode, budget, ordered=True):
         need = min(q, len(x_tuple))
         for order in permutations(x_tuple):
             pos_of = {x: d for d, x in enumerate(order)}
             if lis_length([pos_of[x] for x in labels]) < need:
                 return Verdict(ok=False, x_set=x_tuple, order=order)
     return OK
+
+
+def check_target(target: str, q: Optional[int]) -> None:
+    """Raise ValueError unless target is one of VERIFY_TARGETS and has the q it needs."""
+    if target not in VERIFY_TARGETS:
+        raise ValueError(f"target must be one of {VERIFY_TARGETS}")
+    if target in ("kq", "kq_permutation") and q is None:
+        raise ValueError(f"target {target} needs q")
+
+
+def verify(selector: Selector, k: int, target: str, q: Optional[int] = None,
+           size_mode: str = "exact", budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Run the verifier for `target`, one of VERIFY_TARGETS; the kq targets need q."""
+    check_target(target, q)
+    if target == "strong":
+        return verify_strong(selector, k, size_mode, budget)
+    if target == "permutation":
+        return verify_permutation_selector(selector, k, size_mode, budget)
+    if target == "kq":
+        return verify_kq_selector(selector, k, q, size_mode, budget)
+    return verify_kq_permutation_selector(selector, k, q, size_mode, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +376,11 @@ def selector_from_text(text: str) -> tuple[Selector, int]:
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} sets but file has {len(lines) - 1} set lines")
     sets = []
-    for line in lines[1:]:
-        sets.append(frozenset(int(w) for w in line.split()))
+    for t, line in enumerate(lines[1:]):
+        labels = [int(w) for w in line.split()]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"set {t} repeats a label: {line!r}")
+        sets.append(frozenset(labels))
     return Selector(n, tuple(sets)), k
 
 

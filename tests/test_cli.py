@@ -71,6 +71,21 @@ def test_verify_parse_failure(tmp_path, capsys):
     assert code == 2 and "cannot read selector" in err
 
 
+def test_verify_rejects_repeated_label(tmp_path, capsys):
+    f = tmp_path / "dup.txt"
+    f.write_text("3 2 2\n0 0 1\n2\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(f), "--target", "strong")
+    assert code == 2 and out == "" and "cannot read selector" in err
+
+
+def test_verify_kq_needs_q(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text("3 3 3\n0\n1\n2\n", encoding="utf-8")
+    for target in ("kq", "kq_permutation"):
+        code, out, err = run(capsys, "verify", str(f), "--target", target)
+        assert code == 2 and out == "" and f"target {target} needs q" in err
+
+
 def test_verify_budget_refusal(tmp_path, capsys, monkeypatch):
     f = tmp_path / "s.txt"
     f.write_text("12 8 2\n0\n1\n", encoding="utf-8")
@@ -97,6 +112,17 @@ def test_prob_jump_divisor_required(capsys):
 def test_prob_monte_carlo_line(capsys):
     code, out, _ = run(capsys, "prob", "--ell", "4", "-k", "2", "--trials", "2000", "--seed", "3")
     assert code == 0 and "mc_estimate=" in out and "trials=2000" in out
+
+
+def test_prob_negative_trials_exits_2(capsys):
+    code, out, err = run(capsys, "prob", "--ell", "3", "-k", "2", "--trials", "-5")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_prob_huge_exact_value_exits_2(capsys):
+    # The numerator has more digits than Python converts to a string.
+    code, out, err = run(capsys, "prob", "--ell", "20000", "-k", "50")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_bound_report(capsys):
@@ -151,6 +177,16 @@ def test_simulate_cycle_with_selector_file(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", "--network", str(net_file), "--kappa", "2",
                        "--selector", str(sel_file))
     assert code == 0 and "audit=pass" in out
+
+
+def test_simulate_rejects_selector_universe_mismatch(tmp_path, capsys):
+    sel_file = tmp_path / "sel.txt"
+    sel_file.write_text("3 2 3\n0\n1\n2\n", encoding="utf-8")
+    net_file = tmp_path / "cycle.txt"
+    save_network(net_file, Network((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({0}))))
+    code, out, err = run(capsys, "simulate", "--network", str(net_file), "--kappa", "2",
+                         "--selector", str(sel_file))
+    assert code == 2 and out == "" and "does not match network size 4" in err
 
 
 def test_simulate_rejects_weakly_connected(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from permsel.errors import BudgetExceededError
 from permsel.selectors import (
+    VERIFY_TARGETS,
     Instance,
     Selector,
     isolates,
@@ -17,6 +18,7 @@ from permsel.selectors import (
     save_selector,
     selector_from_text,
     selector_to_text,
+    verify,
     verify_kq_permutation_selector,
     verify_kq_selector,
     verify_permutation_selector,
@@ -171,6 +173,27 @@ def test_kq_permutation_rejects_bad_q():
         verify_kq_permutation_selector(singleton_selector(3), 2, 3)
 
 
+def test_verify_dispatches_to_each_target():
+    s = sel(3, {0}, {1, 2}, {2})
+    expected = {
+        "strong": verify_strong(s, 2, "up_to"),
+        "permutation": verify_permutation_selector(s, 2, "up_to"),
+        "kq": verify_kq_selector(s, 2, 2, "up_to"),
+        "kq_permutation": verify_kq_permutation_selector(s, 2, 2, "up_to"),
+    }
+    assert set(expected) == set(VERIFY_TARGETS)
+    for target, verdict in expected.items():
+        assert verify(s, 2, target, q=2, size_mode="up_to") == verdict
+
+
+def test_verify_rejects_unknown_target_and_missing_q():
+    with pytest.raises(ValueError, match="target must be one of"):
+        verify(singleton_selector(3), 2, "weak")
+    for target in ("kq", "kq_permutation"):
+        with pytest.raises(ValueError, match="needs q"):
+            verify(singleton_selector(3), 2, target)
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         verify_permutation_selector(singleton_selector(12), 8, "exact", budget=1000)
@@ -277,3 +300,8 @@ def test_text_parse_errors():
         selector_from_text("3 1\n0\n")
     with pytest.raises(ValueError):
         selector_from_text("3 1 2\n0\n")
+
+
+def test_text_rejects_repeated_label():
+    with pytest.raises(ValueError, match="repeats a label"):
+        selector_from_text("3 2 2\n0 0 1\n2\n")
