@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AttemptsExhaustedError
-from .selectors import DEFAULT_BUDGET, Selector, check_target, verify
+from .errors import AttemptsExhaustedError, BudgetExceededError
+from .selectors import DEFAULT_BUDGET, Selector, _charge, check_target, verify
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
@@ -167,14 +167,21 @@ def _default_m(k: int, universe_size: int, config: BuildConfig) -> int:
     return derive_size_params(k, universe_size, config.q).m
 
 
+def _charge_length(k: int, universe_size: int, m: int, config: BuildConfig) -> None:
+    """Refuse a length the configured verifier would refuse, before drawing it."""
+    _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
+
+
 def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Selector, int]:
     """Generate random selectors until one passes the configured verifier.
 
     Attempt a (1-based) draws with the child seed substream_seed(seed, a-1),
     so attempts are reproducible and independent.  Returns the selector and
-    the number of attempts used.
+    the number of attempts used.  Invalid arguments and a length over the
+    verifier's budget are refused before the first draw.
     """
     m = _default_m(k, universe_size, config)
+    _charge_length(k, universe_size, m, config)
     for attempt in range(1, config.max_attempts + 1):
         selector = random_selector(k, universe_size, m, substream_seed(config.seed, attempt - 1))
         if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
@@ -187,24 +194,59 @@ def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Sel
 
 def minimal_m_search(k: int, universe_size: int, config: BuildConfig,
                      trials_per_m: int, max_m: Optional[int] = None) -> int:
-    """Smallest m at which one of trials_per_m seeded draws verifies.
+    """Smallest m in [1, max_m] at which one of trials_per_m seeded draws
+    verifies; max_m defaults to the configured length (m_override, else the
+    derived size).
 
-    Linear scan from m = 1 up to max_m, by default the configured length
-    (m_override, else the derived size).  Trial j reuses the child seed
-    substream_seed(seed, j) at every length, so together with the per-set
-    sub-streams of random_selector a passing trial stays passing at every
-    larger m and the scan's answer is well defined.
+    Trial j draws with the child seed substream_seed(seed, j) at every
+    length, and random_selector gives each set its own sub-stream, so the
+    length-m draw of a trial is a prefix of its length-(m+1) draw and a
+    trial that verifies at m verifies at every larger m.  The test "some
+    trial verifies at m" is therefore monotone, and a galloping search
+    (m = 1, 2, 4, ... until it holds, then bisection below) finds the same
+    smallest m as trying every length in turn.  A length is probed by
+    drawing and verifying the trials in order up to the first that passes;
+    the trials before it failed at that length, so they cannot pass at any
+    smaller one and are dropped.
+
+    A length over the verifier's budget is refused before anything is
+    drawn.  That refusal is monotone in m too, so it ends the search like a
+    pass: when the smallest length that does not fail is refused, the
+    refusal is raised, as a scan from m = 1 would raise it.
     """
     if trials_per_m < 1:
         raise ValueError("trials_per_m must be at least 1")
     if max_m is None:
         max_m = _default_m(k, universe_size, config)
     seeds = [substream_seed(config.seed, j) for j in range(trials_per_m)]
-    for m in range(1, max_m + 1):
-        for s in seeds:
+
+    def stops(m: int) -> bool:
+        """Whether length m ends the search: it is over budget, or a trial
+        verifies at it (and the trials before that one are dropped)."""
+        try:
+            _charge_length(k, universe_size, m, config)
+        except BudgetExceededError:
+            return True
+        for i, s in enumerate(seeds):
             selector = random_selector(k, universe_size, m, s)
             if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
-                return m
-    raise AttemptsExhaustedError(
-        f"no verified selector up to m={max_m} with {trials_per_m} trials per length"
-    )
+                del seeds[:i]
+                return True
+        return False
+
+    # Every length <= lo fails; hi is probed next, then is the smallest stop.
+    lo, hi = 0, 1
+    while hi <= max_m and not stops(hi):
+        lo, hi = hi, (min(2 * hi, max_m) if hi < max_m else hi + 1)
+    if hi > max_m:
+        raise AttemptsExhaustedError(
+            f"no verified selector up to m={max_m} with {trials_per_m} trials per length"
+        )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid
+    _charge_length(k, universe_size, hi, config)  # raises when hi stopped by its refusal
+    return hi

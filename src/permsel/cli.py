@@ -92,6 +92,19 @@ def _exact_and_bound(ell: int, k: int, q: Optional[int]) -> tuple[Fraction, Opti
     return coupon.p_jump_exact(ell, k, q), coupon.p_jump_bound(ell, k, q) if ell >= q else None
 
 
+def _ratio(bound: float, exact: Fraction) -> float:
+    """bound / exact, also when exact is too small for a float (inf when exact
+    is 0 or the ratio is too large for one)."""
+    if float(exact) > 0:
+        return bound / float(exact)
+    if exact == 0:
+        return float("inf")
+    try:
+        return float(Fraction(bound) / exact)
+    except OverflowError:
+        return float("inf")
+
+
 def cmd_prob(args) -> int:
     # Formatting stays inside the try: a huge numerator exceeds Python's
     # int-to-str digit limit with a ValueError.
@@ -99,7 +112,7 @@ def cmd_prob(args) -> int:
         exact, bound = _exact_and_bound(args.ell, args.k, args.q)
         parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
         if bound is not None:
-            ratio = bound / float(exact) if exact > 0 else float("inf")
+            ratio = _ratio(bound, exact)
             parts.append(f"p_bound={bound!r}")
             parts.append(f"ratio={ratio!r}")
         lines = [" ".join(parts)]

@@ -24,6 +24,10 @@ DEFAULT_BUDGET = 100_000_000
 
 SIZE_MODES = ("exact", "up_to")
 
+VERIFY_TARGETS = ("strong", "permutation", "kq", "kq_permutation")
+_ORDERED_TARGETS = ("permutation", "kq_permutation")
+_Q_TARGETS = ("kq", "kq_permutation")
+
 
 def _check_mode(size_mode: str) -> None:
     if size_mode not in SIZE_MODES:
@@ -233,28 +237,38 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
     yield from extend((), 0)
 
 
-def _traces(selector: Selector, k: int, q: Optional[int], size_mode: str, budget: int,
-            ordered: bool) -> Iterator[tuple[tuple[Label, ...], list[Label]]]:
-    """Validate the arguments, charge the budget, then yield every target set
-    X in lexicographic order with the labels of its isolation trace.
+def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
+            size_mode: str, budget: int) -> None:
+    """Validate a verification of `target` on a selector of `length` sets
+    and charge it against the budget, raising before any set is drawn or
+    enumerated.
 
-    The budget charge is (instances) * max(m, 1), counting each ordering of
-    X as an instance when `ordered`.
+    The charge is (instances) * max(length, 1), counting each ordering of
+    a target set as an instance for the ordered targets.  q is checked
+    only when given and the target takes it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > selector.universe_size:
-        raise ValueError(f"k={k} exceeds universe size {selector.universe_size}")
+    if k > universe_size:
+        raise ValueError(f"k={k} exceeds universe size {universe_size}")
     _check_mode(size_mode)
-    if q is not None and not 1 <= q <= k:
+    if target in _Q_TARGETS and q is not None and not 1 <= q <= k:
         raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
+    ordered = target in _ORDERED_TARGETS
     sizes = range(k, k + 1) if size_mode == "exact" else range(1, k + 1)
-    instances = sum(comb(selector.universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
-    cost = instances * max(len(selector), 1)
+    instances = sum(comb(universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
+    cost = instances * max(length, 1)
     if cost > budget:
         raise BudgetExceededError(
             f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
         )
+
+
+def _traces(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
+            budget: int) -> Iterator[tuple[tuple[Label, ...], list[Label]]]:
+    """Validate and charge (see `_charge`), then yield every target set X
+    in lexicographic order with the labels of its isolation trace."""
+    _charge(selector.universe_size, len(selector), k, target, q, size_mode, budget)
     masks = selector.masks()
     for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
         yield x_tuple, _trace_labels(masks, _mask(x_tuple))
@@ -264,9 +278,6 @@ def _traces(selector: Selector, k: int, q: Optional[int], size_mode: str, budget
 # verifiers
 # ---------------------------------------------------------------------------
 
-VERIFY_TARGETS = ("strong", "permutation", "kq", "kq_permutation")
-
-
 def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that every element of every target set is isolated by some set.
@@ -274,7 +285,7 @@ def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
     Mode "exact" ranges over sets of size exactly k, "up_to" over sizes
     1..k.  Returns the lexicographically smallest failing (X, x).
     """
-    for x_tuple, labels in _traces(selector, k, None, size_mode, budget, ordered=False):
+    for x_tuple, labels in _traces(selector, k, "strong", None, size_mode, budget):
         seen = set(labels)
         for x in x_tuple:
             if x not in seen:
@@ -289,7 +300,7 @@ def verify_permutation_selector(selector: Selector, k: int, size_mode: str = "ex
     Returns the lexicographically smallest failing instance (X sorted,
     then the order lexicographically).
     """
-    for x_tuple, labels in _traces(selector, k, None, size_mode, budget, ordered=True):
+    for x_tuple, labels in _traces(selector, k, "permutation", None, size_mode, budget):
         pos = _positions_by_label(labels)
         for order in permutations(x_tuple):
             if not _contains_in_order(pos, order):
@@ -304,7 +315,7 @@ def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exa
     For target sets smaller than q (possible in up_to mode) the requirement
     drops to the set's size.
     """
-    for x_tuple, labels in _traces(selector, k, q, size_mode, budget, ordered=False):
+    for x_tuple, labels in _traces(selector, k, "kq", q, size_mode, budget):
         if len(set(labels)) < min(q, len(x_tuple)):
             return Verdict(ok=False, x_set=x_tuple)
     return OK
@@ -320,7 +331,7 @@ def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
     subsequence of those positions reaches q (capped at the instance size
     in up_to mode).
     """
-    for x_tuple, labels in _traces(selector, k, q, size_mode, budget, ordered=True):
+    for x_tuple, labels in _traces(selector, k, "kq_permutation", q, size_mode, budget):
         need = min(q, len(x_tuple))
         for order in permutations(x_tuple):
             pos_of = {x: d for d, x in enumerate(order)}
@@ -333,7 +344,7 @@ def check_target(target: str, q: Optional[int]) -> None:
     """Raise ValueError unless target is one of VERIFY_TARGETS and has the q it needs."""
     if target not in VERIFY_TARGETS:
         raise ValueError(f"target must be one of {VERIFY_TARGETS}")
-    if target in ("kq", "kq_permutation") and q is None:
+    if target in _Q_TARGETS and q is None:
         raise ValueError(f"target {target} needs q")
 
 

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from permsel.cli import main
+from permsel import build
+from permsel.cli import _ratio, main
 from permsel.radio import Network, network_to_text, random_strongly_connected, save_network
 from permsel.selectors import load_selector, verify_permutation_selector
 
@@ -125,6 +128,21 @@ def test_prob_huge_exact_value_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_prob_ratio_when_exact_value_underflows_a_float(capsys):
+    # p_exact is about 8e-329, below the smallest float; the ratio is taken
+    # from the exact value instead of dividing by 0.0.
+    code, out, err = run(capsys, "prob", "--ell", "1100", "-k", "2")
+    assert (code, err) == (0, "")
+    assert out.endswith(" p_bound=1.662724605018458e-233 ratio=2.0512955360679314e+95\n")
+
+
+def test_prob_ratio_is_inf_only_past_the_float_range():
+    assert _ratio(0.5, Fraction(1, 4)) == 2.0
+    assert _ratio(1e-300, Fraction(1, 10**400)) == 1e100
+    assert _ratio(1.0, Fraction(1, 10**400)) == float("inf")
+    assert _ratio(1.0, Fraction(0)) == float("inf")
+
+
 def test_bound_report(capsys):
     code, out, _ = run(capsys, "bound", "-k", "2", "-N", "16")
     assert code == 0
@@ -187,6 +205,19 @@ def test_simulate_rejects_selector_universe_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "--network", str(net_file), "--kappa", "2",
                          "--selector", str(sel_file))
     assert code == 2 and out == "" and "does not match network size 4" in err
+
+
+def test_simulate_auto_refuses_over_budget_before_drawing(capsys, monkeypatch):
+    # A 300-node cycle asks for a (119, 300)-permutation selector of about
+    # 5.4e7 sets; its verification is far over budget, so nothing is drawn.
+    def no_draw(*args):
+        raise AssertionError("random_selector called")
+
+    monkeypatch.setattr(build, "random_selector", no_draw)
+    code, out, err = run(capsys, "simulate", "--random", "300", "0.0", "1", "--auto")
+    assert code == 2 and out == ""
+    assert err.startswith("error: verification needs ~") and err.endswith(
+        " primitive isolation checks, budget is 100000000\n")
 
 
 def test_simulate_rejects_weakly_connected(tmp_path, capsys):

@@ -1,0 +1,31 @@
+"""The four demos, run in-process, print exactly the captured output.
+
+Demo 02 runs the Las Vegas builder and the minimal-length search, so a
+change to either that moves any printed number fails here.
+"""
+
+import hashlib
+from pathlib import Path
+import runpy
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+STDOUT_SHA256 = {
+    "01_selector_basics.py": "aa5a836cdadb5e0a886650d5a87c294f5b6fc22033311551db862b9610ce5f4a",
+    "02_probabilistic_construction.py": "34453bb7f82d0b848b65edcd9ecd3f6480c9166b65bc9b5af4ce4dd3f8a026dd",
+    "03_coupon_probabilities.py": "d90c8cc85c2fc0e9c75978c37d563518e68932f6a234cc4b1425a702953f4734",
+    "04_gossip_simulation.py": "065caa1df2d84c8f739d97bef0a39cb5427c10e3e5279591e855175d860c5f91",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_demo_stdout(capsys, name):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]

@@ -66,6 +66,42 @@ def test_golden_minsize(capsys):
     assert (code, out) == (0, "minimal_m=16\n")
 
 
+MINSIZE_ARGS = ("minsize", "-k", 3, "-N", 6, "-q", 2, "--trials", 3, "--seed", 5)
+
+MINSIZE_GOLDEN = {
+    ("strong", "exact"): 19,
+    ("strong", "up_to"): 19,
+    ("permutation", "exact"): 44,
+    ("permutation", "up_to"): 44,
+    ("kq", "exact"): 11,
+    ("kq", "up_to"): 11,
+    ("kq_permutation", "exact"): 17,
+    ("kq_permutation", "up_to"): 18,
+}
+
+
+@pytest.mark.parametrize("target,mode", sorted(MINSIZE_GOLDEN))
+def test_golden_minsize_targets(capsys, target, mode):
+    code, out, _ = run(capsys, *MINSIZE_ARGS, "--target", target, "--mode", mode)
+    assert (code, out) == (0, f"minimal_m={MINSIZE_GOLDEN[target, mode]}\n")
+
+
+def test_golden_minsize_budget_refusal(capsys, monkeypatch):
+    # 156 ordered instances up to size 3 over N=6: m=20 is the first length
+    # over the budget, well below the answer 44.
+    monkeypatch.setenv("PERMSEL_BUDGET", "3000")
+    code, out, err = run(capsys, *MINSIZE_ARGS, "--target", "permutation", "--mode", "up_to")
+    assert (code, out, err) == (
+        2, "", "error: verification needs ~3120 primitive isolation checks, budget is 3000\n")
+
+
+@pytest.mark.parametrize("max_m", [0, 20])
+def test_golden_minsize_exhausted(capsys, max_m):
+    code, out, _ = run(capsys, *MINSIZE_ARGS, "--target", "permutation", "--mode", "up_to",
+                       "--max-m", max_m)
+    assert (code, out) == (1, f"FAIL no verified selector up to m={max_m} with 3 trials per length\n")
+
+
 def test_golden_simulate_auto_trace(tmp_path, capsys):
     trace = tmp_path / "auto.trace"
     code, out, _ = run(capsys, "simulate", "--random", 10, 0.15, 3, "--auto", "--seed", 2,
