@@ -5,10 +5,10 @@ verified permutation selector."""
 from permsel import (
     BuildConfig,
     Network,
+    SimState,
     build_verified,
     choose_kappa,
     gossip,
-    initial_state,
     random_strongly_connected,
     step,
 )
@@ -18,10 +18,10 @@ print("=" * 64)
 print("The channel: simultaneous in-neighbor transmissions collide")
 print("=" * 64)
 g = Network((frozenset({2}), frozenset({2}), frozenset()))
-st = initial_state(g)
+st = SimState(g)
 rec = step(g, st, {0})
 print("only node 0 transmits ->", rec.line())
-st = initial_state(g)
+st = SimState(g)
 rec = step(g, st, {0, 1})
 print("nodes 0 and 1 together ->", rec.line())
 print("(node 2 hears nothing and cannot tell collision from silence)")

@@ -40,7 +40,6 @@ from .radio import (
     choose_kappa,
     disperse,
     gossip,
-    initial_state,
     is_strongly_connected,
     quasi_gossip,
     random_strongly_connected,

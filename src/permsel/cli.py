@@ -2,9 +2,10 @@
 
 Every run is fully determined by its flags (all randomness flows from
 --seed); repeated invocations produce byte-identical files.  Exit codes:
-0 success/OK, 1 verification or protocol failure, 2 invalid input or
-refused work budget.  The environment variable PERMSEL_BUDGET overrides
-the verifiers' enumeration budget.
+0 success/OK, 1 verification or protocol failure, 2 invalid input, an
+unreadable input or unwritable output file, or a refused work budget;
+`main` alone maps exceptions to them.  The environment variable
+PERMSEL_BUDGET overrides the verifiers' enumeration budget.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import build, coupon, radio, selectors
-from .errors import (
-    AttemptsExhaustedError,
-    BudgetExceededError,
-    GossipIncompleteError,
-    NotStronglyConnectedError,
-    PermselError,
-)
+from .errors import BudgetExceededError, NotStronglyConnectedError, PermselError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,27 +39,21 @@ def _err(msg: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    try:
-        config = build.BuildConfig(
-            seed=args.seed,
-            max_attempts=args.attempts,
-            m_override=args.m,
-            size_mode=args.mode,
-            target=args.target,
-            q=args.q,
-            budget=_budget(),
-        )
-        if args.k < 1 or args.k > args.N:
-            raise ValueError(f"need 1 <= k <= N, got k={args.k}, N={args.N}")
-        if args.k >= 2:
-            params = build.derive_size_params(args.k, args.N, args.q)
-            print(params.report())
-        selector, attempts = build.build_verified(args.k, args.N, config)
-    except (ValueError, BudgetExceededError) as e:
-        return _err(str(e))
-    except AttemptsExhaustedError as e:
-        print(f"FAIL {e}")
-        return EXIT_FAIL
+    config = build.BuildConfig(
+        seed=args.seed,
+        max_attempts=args.attempts,
+        m_override=args.m,
+        size_mode=args.mode,
+        target=args.target,
+        q=args.q,
+        budget=_budget(),
+    )
+    if args.k < 1 or args.k > args.N:
+        raise ValueError(f"need 1 <= k <= N, got k={args.k}, N={args.N}")
+    if args.k >= 2:
+        params = build.derive_size_params(args.k, args.N, args.q)
+        print(params.report())
+    selector, attempts = build.build_verified(args.k, args.N, config)
     selectors.save_selector(args.out, selector, args.k)
     print(f"attempts={attempts} m={len(selector)} out={args.out}")
     return EXIT_OK
@@ -76,10 +65,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as e:
         return _err(f"cannot read selector: {e}")
     k = args.k if args.k is not None else file_k
-    try:
-        verdict = selectors.verify(selector, k, args.target, args.q, args.mode, _budget())
-    except (ValueError, BudgetExceededError) as e:
-        return _err(str(e))
+    verdict = selectors.verify(selector, k, args.target, args.q, args.mode, _budget())
     print(verdict.format())
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
@@ -106,32 +92,27 @@ def _ratio(bound: float, exact: Fraction) -> float:
 
 
 def cmd_prob(args) -> int:
-    # Formatting stays inside the try: a huge numerator exceeds Python's
-    # int-to-str digit limit with a ValueError.
-    try:
-        exact, bound = _exact_and_bound(args.ell, args.k, args.q)
-        parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
-        if bound is not None:
-            ratio = _ratio(bound, exact)
-            parts.append(f"p_bound={bound!r}")
-            parts.append(f"ratio={ratio!r}")
-        lines = [" ".join(parts)]
-        if args.trials:
-            est, se = coupon.p_monte_carlo(args.ell, args.k, args.q, args.trials, args.seed)
-            lines.append(f"mc_estimate={est!r} mc_std_error={se!r} trials={args.trials}")
-    except ValueError as e:
-        return _err(str(e))
+    # Every line is built before any is printed: a huge numerator exceeds
+    # Python's int-to-str digit limit with a ValueError, and that must not
+    # leave partial output behind.
+    exact, bound = _exact_and_bound(args.ell, args.k, args.q)
+    parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
+    if bound is not None:
+        ratio = _ratio(bound, exact)
+        parts.append(f"p_bound={bound!r}")
+        parts.append(f"ratio={ratio!r}")
+    lines = [" ".join(parts)]
+    if args.trials:
+        est, se = coupon.p_monte_carlo(args.ell, args.k, args.q, args.trials, args.seed)
+        lines.append(f"mc_estimate={est!r} mc_std_error={se!r} trials={args.trials}")
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
-    try:
-        params = build.derive_size_params(args.k, args.N, args.q)
-        c = args.c if args.c is not None else params.c
-        report = coupon.union_bound_value(args.k, args.N, c)
-    except ValueError as e:
-        return _err(str(e))
+    params = build.derive_size_params(args.k, args.N, args.q)
+    c = args.c if args.c is not None else params.c
+    report = coupon.union_bound_value(args.k, args.N, c)
     print(params.report())
     print(
         f"c_used={c!r} log2_eq3={report.log2_per_instance!r} "
@@ -142,60 +123,48 @@ def cmd_bound(args) -> int:
 
 
 def cmd_minsize(args) -> int:
-    try:
-        config = build.BuildConfig(
-            seed=args.seed,
-            m_override=args.max_m,
-            size_mode=args.mode,
-            target=args.target,
-            q=args.q,
-            budget=_budget(),
-        )
-        m = build.minimal_m_search(args.k, args.N, config, args.trials)
-    except (ValueError, BudgetExceededError) as e:
-        return _err(str(e))
-    except AttemptsExhaustedError as e:
-        print(f"FAIL {e}")
-        return EXIT_FAIL
+    config = build.BuildConfig(
+        seed=args.seed,
+        m_override=args.max_m,
+        size_mode=args.mode,
+        target=args.target,
+        q=args.q,
+        budget=_budget(),
+    )
+    m = build.minimal_m_search(args.k, args.N, config, args.trials)
     print(f"minimal_m={m}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.network is not None:
-            network = radio.load_network(args.network)
-        else:
-            n, p, seed = args.random
-            network = radio.random_strongly_connected(int(n), float(p), int(seed))
-        if not radio.is_strongly_connected(network):
-            return _err("network is not strongly connected")
-        if args.kappa is not None:
-            kappa = args.kappa
-        else:
-            b_rounds = args.broadcast_rounds or radio.measure_broadcast_rounds(network)
-            kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
-        if args.selector is not None:
-            loaded, _ = selectors.load_selector(args.selector)
-            if loaded.universe_size != network.n:
-                return _err(f"selector universe {loaded.universe_size} does not match "
-                            f"network size {network.n}")
-            provider = lambda k, n: loaded
-        else:
-            config = build.BuildConfig(
-                seed=args.seed,
-                m_override=args.m,
-                size_mode="up_to",
-                target="permutation",
-                budget=_budget(),
-            )
-            provider = lambda k, n: build.build_verified(k, n, config)[0]
-        trace = radio.gossip(network, kappa, provider)
-    except (OSError, ValueError, NotStronglyConnectedError, BudgetExceededError) as e:
-        return _err(str(e))
-    except (GossipIncompleteError, AttemptsExhaustedError, PermselError) as e:
-        print(f"FAIL {e}")
-        return EXIT_FAIL
+    if args.network is not None:
+        network = radio.load_network(args.network)
+    else:
+        n, p, seed = args.random
+        network = radio.random_strongly_connected(int(n), float(p), int(seed))
+    if not radio.is_strongly_connected(network):
+        return _err("network is not strongly connected")
+    if args.kappa is not None:
+        kappa = args.kappa
+    else:
+        b_rounds = args.broadcast_rounds or radio.measure_broadcast_rounds(network)
+        kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
+    if args.selector is not None:
+        loaded, _ = selectors.load_selector(args.selector)
+        if loaded.universe_size != network.n:
+            return _err(f"selector universe {loaded.universe_size} does not match "
+                        f"network size {network.n}")
+        provider = lambda k, n: loaded
+    else:
+        config = build.BuildConfig(
+            seed=args.seed,
+            m_override=args.m,
+            size_mode="up_to",
+            target="permutation",
+            budget=_budget(),
+        )
+        provider = lambda k, n: build.build_verified(k, n, config)[0]
+    trace = radio.gossip(network, kappa, provider)
     if args.trace:
         radio.save_trace(args.trace, trace)
     print(f"kappa={kappa}")
@@ -206,14 +175,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     lines = ["ell,k,q,exact_num,exact_den,bound"]
-    try:
-        for ell in range(args.ell_min, args.ell_max + 1):
-            exact, bound = _exact_and_bound(ell, args.k, args.q)
-            q_col = "" if args.q is None else str(args.q)
-            b_col = "" if bound is None else repr(bound)
-            lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
-    except ValueError as e:
-        return _err(str(e))
+    for ell in range(args.ell_min, args.ell_max + 1):
+        exact, bound = _exact_and_bound(ell, args.k, args.q)
+        q_col = "" if args.q is None else str(args.q)
+        b_col = "" if bound is None else repr(bound)
+        lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -311,7 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, BudgetExceededError, NotStronglyConnectedError) as e:
+        return _err(str(e))
+    except PermselError as e:
+        print(f"FAIL {e}")
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -42,13 +42,10 @@ def p_exact(ell: int, k: int) -> Fraction:
     contain 0,1,...,k-1 as a subsequence.
 
     Closed form: sum_{j=0}^{k-1} C(ell,j) (k-1)^(ell-j) / k^ell.  For
-    ell < k the sum telescopes to exactly 1 (the pattern cannot fit).
+    ell < k the sum telescopes to exactly 1 (the pattern cannot fit).  The
+    plain pattern is the jump pattern with q = k blocks of one symbol.
     """
-    _validate_ell_k(ell, k)
-    # Terms with j > ell vanish (comb is 0); skipping them keeps the
-    # arithmetic in plain integers.
-    total = sum(comb(ell, j) * (k - 1) ** (ell - j) for j in range(min(k, ell + 1)))
-    return Fraction(total, k**ell)
+    return p_jump_exact(ell, k, k)
 
 
 def p_jump_exact(ell: int, k: int, q: int) -> Fraction:
@@ -65,6 +62,8 @@ def p_jump_exact(ell: int, k: int, q: int) -> Fraction:
     if k % q != 0:
         raise ValueError(f"q={q} must divide k={k} for the exact formula")
     b = k // q
+    # Terms with j > ell vanish (comb is 0); skipping them keeps the
+    # arithmetic in plain integers.
     total = sum(comb(ell, j) * b**j * (k - b) ** (ell - j) for j in range(min(q, ell + 1)))
     return Fraction(total, k**ell)
 
@@ -90,10 +89,7 @@ def _count_missing(ell: int, k: int, target_of_symbol: np.ndarray, goal: int,
 
 def p_bruteforce(ell: int, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
     """p_exact by enumerating all k^ell sequences with a greedy scan."""
-    _validate_ell_k(ell, k)
-    # Pattern 0,1,...,k-1: symbol s advances the scan exactly at stage s.
-    identity = np.arange(k, dtype=np.int64)
-    return Fraction(_count_missing(ell, k, identity, k, budget), k**ell)
+    return p_jump_bruteforce(ell, k, k, budget)
 
 
 def p_jump_bruteforce(ell: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
@@ -116,20 +112,24 @@ def p_bound(ell: int, k: int) -> float:
     _validate_ell_k(ell, k)
     if ell < k:
         raise ValueError(f"the bound needs ell >= k, got ell={ell}, k={k}")
-    return math.exp(-ell / k) * (2.0 * ell / k) ** k
+    return p_jump_bound(ell, k, k)
 
 
 def p_jump_bound(ell: int, k: int, q: int) -> float:
     """The analytic upper bound exp(-ell/q) * (2 ell / q)^q on p_jump_exact.
 
     The bound does not depend on k; the argument is kept for symmetry with
-    the exact forms.
+    the exact forms.  Past the float range it is math.inf, a vacuous but
+    valid upper bound.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     if ell < q:
         raise ValueError(f"the bound needs ell >= q, got ell={ell}, q={q}")
-    return math.exp(-ell / q) * (2.0 * ell / q) ** q
+    try:
+        return math.exp(-ell / q) * (2.0 * ell / q) ** q
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +158,10 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
     _validate_ell_k(ell, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if q is None:
-        target_of_symbol = np.arange(k, dtype=np.int64)
-        goal = k
-    else:
-        blocks = jump_blocks(k, q)
-        target_of_symbol = np.empty(k, dtype=np.int64)
-        for h, block in enumerate(blocks):
-            target_of_symbol[list(block)] = h
-        goal = q
+    goal = k if q is None else q
+    target_of_symbol = np.empty(k, dtype=np.int64)
+    for h, block in enumerate(jump_blocks(k, goal)):
+        target_of_symbol[list(block)] = h
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     seqs = rng.integers(0, k, size=(trials, ell))
     state = np.zeros(trials, dtype=np.int64)

@@ -115,11 +115,11 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Netw
         perm = [int(x) for x in rng.permutation(n)]
         for i in range(n):
             out_edges[perm[i]].add(perm[(i + 1) % n])
-        extras = rng.random((n, n)) < extra_edge_prob
+        # One row of draws per u consumes the stream exactly as one (n, n)
+        # draw would, in O(n) memory.
         for u in range(n):
-            for v in range(n):
-                if u != v and extras[u, v]:
-                    out_edges[u].add(v)
+            extras = np.flatnonzero(rng.random(n) < extra_edge_prob).tolist()
+            out_edges[u].update(v for v in extras if v != u)
     return Network(tuple(frozenset(s) for s in out_edges))
 
 
@@ -155,7 +155,8 @@ def is_strongly_connected(network: Network) -> bool:
 # ---------------------------------------------------------------------------
 
 class SimState:
-    """Mutable per-run state: rumor sets, rumor activity, round accounting.
+    """Mutable per-run state: rumor sets, rumor activity, round accounting,
+    and the transmission records and postcondition checks of the run.
 
     A rumor is identified by its originator's label; node v is active iff
     rumor v is still active (never broadcast).
@@ -167,6 +168,9 @@ class SimState:
         self.rumor_active: list[bool] = [True] * network.n
         self.round: int = 0
         self.phase_rounds: dict[str, int] = {}
+        self.records: list[RoundRecord] = []
+        self.checks: dict[str, object] = {}
+        self.replay_start: Optional[int] = None
 
     def active_nodes(self) -> frozenset[int]:
         return frozenset(v for v in range(self.network.n) if self.rumor_active[v])
@@ -178,9 +182,15 @@ class SimState:
         self.round += rounds
         self.phase_rounds[phase] = self.phase_rounds.get(phase, 0) + rounds
 
-
-def initial_state(network: Network) -> SimState:
-    return SimState(network)
+    def freeze(self) -> "SimTrace":
+        return SimTrace(
+            records=tuple(self.records),
+            phase_rounds=dict(self.phase_rounds),
+            total_rounds=self.round,
+            checks=dict(self.checks),
+            replay_start=self.replay_start,
+            final_rumors_held=tuple(frozenset(s) for s in self.rumors_held),
+        )
 
 
 @dataclass(frozen=True)
@@ -199,23 +209,6 @@ class RoundRecord:
         rx = ",".join(f"{v}<-{u}" for v, u in self.received)
         coll = ",".join(str(v) for v in sorted(self.collisions))
         return f"round={self.index} tx={{{tx}}} rx=[{rx}] collisions=[{coll}]"
-
-
-class TraceBuilder:
-    def __init__(self):
-        self.records: list[RoundRecord] = []
-        self.checks: dict[str, object] = {}
-        self.replay_start: Optional[int] = None
-
-    def freeze(self, state: SimState) -> "SimTrace":
-        return SimTrace(
-            records=tuple(self.records),
-            phase_rounds=dict(state.phase_rounds),
-            total_rounds=state.round,
-            checks=dict(self.checks),
-            replay_start=self.replay_start,
-            final_rumors_held=tuple(frozenset(s) for s in state.rumors_held),
-        )
 
 
 @dataclass(frozen=True)
@@ -253,9 +246,10 @@ def save_trace(path, trace: SimTrace) -> None:
 # ---------------------------------------------------------------------------
 
 def step(network: Network, state: SimState, transmitters: Iterable[int],
-         phase: str = "manual", trace: Optional[TraceBuilder] = None) -> RoundRecord:
+         phase: str = "manual") -> RoundRecord:
     """Run one round: every transmitter sends simultaneously; node v receives
-    iff it has exactly one transmitting in-neighbor.
+    iff it has exactly one transmitting in-neighbor.  The round's record is
+    appended to `state.records`.
 
     Each message is the transmitter's full rumor set, snapshotted at the
     start of the round.
@@ -285,8 +279,7 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
         collisions=collisions,
     )
     state.charge(phase, 1)
-    if trace is not None:
-        trace.records.append(record)
+    state.records.append(record)
     return record
 
 
@@ -314,7 +307,7 @@ def audit_trace(network: Network, trace: SimTrace) -> bool:
 # ---------------------------------------------------------------------------
 
 def broadcast(network: Network, state: SimState, source: int,
-              phase: str = "disperse", trace: Optional[TraceBuilder] = None) -> int:
+              phase: str = "disperse") -> int:
     """Deliver the source's current rumor set to every node; returns the
     number of rounds used.
 
@@ -336,7 +329,7 @@ def broadcast(network: Network, state: SimState, source: int,
         for slot in range(network.n):
             if all(holds):
                 return rounds
-            step(network, state, {slot} if holds[slot] else (), phase=phase, trace=trace)
+            step(network, state, {slot} if holds[slot] else (), phase=phase)
             rounds += 1
             if holds[slot]:
                 for w in network.out_edges[slot]:
@@ -358,7 +351,7 @@ def measure_broadcast_rounds(network: Network, source: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 def disperse(network: Network, state: SimState, mu: int,
-             trace: Optional[TraceBuilder] = None, hook: Optional[Hook] = None) -> int:
+             hook: Optional[Hook] = None) -> int:
     """While some node holds at least mu active rumors, broadcast from the
     node holding the most (lowest label on ties) and mark every rumor it
     carried at the start of its broadcast dormant.  Returns the number of
@@ -374,7 +367,7 @@ def disperse(network: Network, state: SimState, mu: int,
             break
         source = counts.index(best)  # lowest label among the maxima
         payload = frozenset(state.rumors_held[source])
-        rounds = broadcast(network, state, source, "disperse", trace)
+        rounds = broadcast(network, state, source, "disperse")
         state.charge("disperse", rounds * log_factor)  # selection surcharge
         for r in payload:
             state.rumor_active[r] = False
@@ -402,8 +395,7 @@ def _max_active_in_degree(network: Network, state: SimState) -> int:
 
 def quasi_gossip(network: Network, state: SimState, kappa: int,
                  selector_provider: Callable[[int, int], Selector],
-                 trace: Optional[TraceBuilder] = None,
-                 hook: Optional[Hook] = None) -> TraceBuilder:
+                 hook: Optional[Hook] = None) -> None:
     """Run the quasi-gossip protocol:
 
       1. one singleton pass where each node transmits its rumors in turn,
@@ -413,21 +405,20 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
 
     The task's postcondition (`check_quasi_gossip_done`) is checked after
     step 2 and after each repetition; since it is monotone under further
-    rounds, the run stops early once it holds.  The selector is fetched
-    once and reused across repetitions.  Raises QuasiGossipFailedError if
+    rounds, the run stops early once it holds.  Both checks are recorded in
+    `state.checks`.  The selector is fetched once and reused across
+    repetitions.  Raises QuasiGossipFailedError if
     either the in-neighborhood reduction after step 2 or the final
     postcondition fails (both would indicate a non-selector input or a
     simulator bug).
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    if trace is None:
-        trace = TraceBuilder()
     for v in range(network.n):
-        step(network, state, {v}, phase="rr", trace=trace)
-    disperse(network, state, kappa, trace, hook)
+        step(network, state, {v}, phase="rr")
+    disperse(network, state, kappa, hook)
     max_in = _max_active_in_degree(network, state)
-    trace.checks["post_line4_max_active_in_degree"] = max_in
+    state.checks["post_line4_max_active_in_degree"] = max_in
     if max_in >= kappa:
         raise QuasiGossipFailedError(
             f"after Disperse(kappa) some node still has {max_in} >= kappa={kappa} active in-neighbors"
@@ -442,8 +433,8 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         for iteration in range(iterations):
             active = state.active_nodes()
             for s in selector.sets:
-                step(network, state, s & active, phase="selector", trace=trace)
-            disperse(network, state, half, trace, hook)
+                step(network, state, s & active, phase="selector")
+            disperse(network, state, half, hook)
             done = check_quasi_gossip_done(network, state)
             if hook is not None:
                 hook("after_iteration", network, state, iteration=iteration, done=done)
@@ -451,8 +442,7 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
                 break
     if not done:
         raise QuasiGossipFailedError("quasi-gossip postcondition does not hold after the final iteration")
-    trace.checks["quasi_done"] = True
-    return trace
+    state.checks["quasi_done"] = True
 
 
 def gossip_complete(network: Network, state: SimState) -> bool:
@@ -467,17 +457,16 @@ def gossip(network: Network, kappa: int,
     all n rumors."""
     if not is_strongly_connected(network):
         raise NotStronglyConnectedError("gossip requires a strongly connected network")
-    state = initial_state(network)
-    trace = TraceBuilder()
-    quasi_gossip(network, state, kappa, selector_provider, trace, hook)
-    schedule = [(rec.phase, rec.transmitters) for rec in trace.records]
-    trace.replay_start = len(trace.records)
+    state = SimState(network)
+    quasi_gossip(network, state, kappa, selector_provider, hook)
+    schedule = [(rec.phase, rec.transmitters) for rec in state.records]
+    state.replay_start = len(state.records)
     for phase, tx in schedule:
-        step(network, state, tx, phase=phase, trace=trace)
+        step(network, state, tx, phase=phase)
     if not gossip_complete(network, state):
         raise GossipIncompleteError("some node is missing rumors after the replay")
-    trace.checks["gossip_complete"] = True
-    return trace.freeze(state)
+    state.checks["gossip_complete"] = True
+    return state.freeze()
 
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:

@@ -30,10 +30,10 @@ from permsel.coupon import (
 )
 from permsel.radio import (
     Selector,
+    SimState,
     active_path_ell,
     check_quasi_gossip_done,
     gossip,
-    initial_state,
     quasi_gossip,
     random_strongly_connected,
 )
@@ -223,7 +223,7 @@ def test_criterion_08_ell_doubling():
         if n > 16:
             continue
         network = random_strongly_connected(n, p, seed)
-        state = initial_state(network)
+        state = SimState(network)
         ell_log = []
 
         def hook(event, net_, st_, **info):

@@ -237,6 +237,37 @@ def test_simulate_deterministic_trace(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes of inputs that once raised out of main
+# ---------------------------------------------------------------------------
+
+# {missing} is a directory that does not exist, so the output file cannot be
+# opened: exit 2, one error line, no file.  A bound past the float range is
+# inf, a vacuous upper bound: exit 0.
+EXIT_CASES = [
+    (("gen", "-k", "2", "-N", "4", "-m", "16", "--mode", "up_to", "-o", "{missing}/x.sel"),
+     2, None),
+    (("sweep", "-k", "3", "--ell-min", "1", "--ell-max", "3", "-o", "{missing}/x.csv"), 2, None),
+    (("simulate", "--random", "6", "0.3", "1", "--auto", "--trace", "{missing}/t.txt"), 2, None),
+    (("prob", "--ell", "1700", "-k", "300"), 0, " p_bound=inf ratio=inf\n"),
+    (("prob", "--ell", "1700", "-k", "300", "-q", "300"), 0, " p_bound=inf ratio=inf\n"),
+    (("sweep", "-k", "300", "--ell-min", "1700", "--ell-max", "1700"), 0, ",inf\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,tail", EXIT_CASES,
+                         ids=["gen-out", "sweep-out", "simulate-trace", "prob", "prob-q", "sweep"])
+def test_exit_code_policy(tmp_path, capsys, argv, code, tail):
+    missing = tmp_path / "missing"
+    got, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert got == code
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not missing.exists()
+    else:
+        assert err == "" and out.endswith(tail)
+
+
+# ---------------------------------------------------------------------------
 # determinism of generated artifacts
 # ---------------------------------------------------------------------------
 

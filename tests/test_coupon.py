@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,14 @@ def test_p_jump_reduces_to_p_exact_at_q_eq_k():
             assert p_jump_exact(ell, k, k) == p_exact(ell, k)
 
 
+def test_p_exact_matches_the_plain_closed_form():
+    # p_exact is computed as p_jump_exact at q = k; the plain sum is its oracle.
+    for k in (2, 3, 7):
+        for ell in (1, 2, 5, 40, 333):
+            total = sum(comb(ell, j) * (k - 1) ** (ell - j) for j in range(min(k, ell + 1)))
+            assert p_exact(ell, k) == Fraction(total, k**ell)
+
+
 def test_p_jump_rejects_non_divisor():
     with pytest.raises(ValueError):
         p_jump_exact(2, 4, 3)
@@ -148,6 +157,15 @@ def test_p_jump_bound_values_and_domination():
                 assert Fraction(p_jump_bound(ell, k, q)) >= p_jump_exact(ell, k, q)
 
 
+def test_bounds_are_inf_past_the_float_range():
+    # (2 * 1700 / 300)^300 overflows a float; a finite bound keeps its
+    # expression bit for bit.
+    assert p_bound(1700, 300) == math.inf
+    assert p_jump_bound(1700, 300, 300) == math.inf
+    assert p_jump_bound(1700, 600, 300) == math.inf
+    assert p_bound(40, 6) == math.exp(-40 / 6) * (2.0 * 40 / 6) ** 6
+
+
 def test_p_jump_bound_rejects_short():
     with pytest.raises(ValueError):
         p_jump_bound(1, 4, 2)
@@ -160,6 +178,13 @@ def test_p_jump_bound_rejects_short():
 def test_monte_carlo_plain():
     est, se = p_monte_carlo(3, 2, trials=100_000, seed=5)
     assert abs(est - 0.5) <= 3 * se
+
+
+def test_monte_carlo_plain_draws_are_pinned():
+    # The plain pattern runs as the jump pattern with q = k blocks; the
+    # estimates must not change with that.
+    assert p_monte_carlo(6, 3, trials=2000, seed=4) == (0.6735, 0.010485650909695592)
+    assert p_monte_carlo(9, 4, trials=500, seed=1) == (0.858, 0.01560999679692472)
 
 
 def test_monte_carlo_jump():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from permsel.build import BuildConfig, build_verified
@@ -11,7 +12,6 @@ from permsel.errors import (
 from permsel.radio import (
     Network,
     SimState,
-    TraceBuilder,
     active_path_ell,
     audit_trace,
     broadcast,
@@ -20,7 +20,6 @@ from permsel.radio import (
     disperse,
     gossip,
     gossip_complete,
-    initial_state,
     is_strongly_connected,
     load_network,
     measure_broadcast_rounds,
@@ -100,6 +99,28 @@ def test_random_network_deterministic():
     assert random_strongly_connected(7, 0.4, 11) == random_strongly_connected(7, 0.4, 11)
 
 
+def dense_random_strongly_connected(n, extra_edge_prob, seed):
+    """The one-matrix draw of the extra edges, the oracle for the row draws."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out_edges = [set() for _ in range(n)]
+    if n > 1:
+        perm = [int(x) for x in rng.permutation(n)]
+        for i in range(n):
+            out_edges[perm[i]].add(perm[(i + 1) % n])
+        extras = rng.random((n, n)) < extra_edge_prob
+        for u in range(n):
+            for v in range(n):
+                if u != v and extras[u, v]:
+                    out_edges[u].add(v)
+    return Network(tuple(frozenset(s) for s in out_edges))
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (2, 1.0, 3), (7, 0.4, 11), (50, 0.05, 2),
+                                      (300, 0.01, 7), (400, 0.0, 1)])
+def test_random_strongly_connected_matches_dense_draw(n, p, seed):
+    assert random_strongly_connected(n, p, seed) == dense_random_strongly_connected(n, p, seed)
+
+
 def test_is_strongly_connected_negative():
     assert not is_strongly_connected(net({1}, set()))
     assert is_strongly_connected(net(set(),))  # single node
@@ -111,7 +132,7 @@ def test_is_strongly_connected_negative():
 
 def test_step_single_delivery():
     g = net({1}, set())
-    st = initial_state(g)
+    st = SimState(g)
     rec = step(g, st, {0})
     assert rec.received == ((1, 0),)
     assert st.rumors_held[1] == {0, 1}
@@ -119,7 +140,7 @@ def test_step_single_delivery():
 
 def test_step_collision_delivers_nothing():
     g = net({2}, {2}, set())
-    st = initial_state(g)
+    st = SimState(g)
     rec = step(g, st, {0, 1})
     assert rec.received == ()
     assert rec.collisions == frozenset({2})
@@ -128,7 +149,7 @@ def test_step_collision_delivers_nothing():
 
 def test_step_self_transmission_is_inert():
     g = net({1}, set())
-    st = initial_state(g)
+    st = SimState(g)
     rec = step(g, st, {1})
     assert rec.received == () and rec.collisions == frozenset()
 
@@ -136,7 +157,7 @@ def test_step_self_transmission_is_inert():
 def test_step_messages_snapshot_at_round_start():
     # 0 -> 1 -> 2 transmitting together: 2 must get 1's pre-round rumors only.
     g = net({1}, {2}, set())
-    st = initial_state(g)
+    st = SimState(g)
     step(g, st, {0, 1})
     assert st.rumors_held[2] == {1, 2}
     assert st.rumors_held[1] == {0, 1}
@@ -145,12 +166,12 @@ def test_step_messages_snapshot_at_round_start():
 def test_step_rejects_unknown_label():
     g = net(set(),)
     with pytest.raises(ValueError):
-        step(g, initial_state(g), {3})
+        step(g, SimState(g), {3})
 
 
 def test_rumor_conservation():
     g = random_strongly_connected(6, 0.3, 4)
-    st = initial_state(g)
+    st = SimState(g)
     for v in range(6):
         before = [set(s) for s in st.rumors_held]
         step(g, st, {v})
@@ -164,7 +185,7 @@ def test_rumor_conservation():
 
 def test_broadcast_path():
     g = net({1}, {2}, set())
-    st = initial_state(g)
+    st = SimState(g)
     rounds = broadcast(g, st, 0)
     assert rounds == 2
     assert 0 in st.rumors_held[2]
@@ -172,12 +193,12 @@ def test_broadcast_path():
 
 def test_broadcast_single_node_zero_rounds():
     g = net(set(),)
-    assert broadcast(g, initial_state(g), 0) == 0
+    assert broadcast(g, SimState(g), 0) == 0
 
 
 def test_broadcast_star_one_pass():
     g = net({1, 2, 3}, set(), set(), set())
-    st = initial_state(g)
+    st = SimState(g)
     assert broadcast(g, st, 0) == 1
     assert all(0 in st.rumors_held[v] for v in range(4))
 
@@ -185,13 +206,13 @@ def test_broadcast_star_one_pass():
 def test_broadcast_unreachable_reports_node():
     g = net({1}, set(), {0})
     with pytest.raises(UnreachableNodeError) as exc:
-        broadcast(g, initial_state(g), 0)
+        broadcast(g, SimState(g), 0)
     assert exc.value.node == 2
 
 
 def test_measure_broadcast_rounds_leaves_caller_state_alone():
     g = random_strongly_connected(5, 0.2, 8)
-    st = initial_state(g)
+    st = SimState(g)
     measure_broadcast_rounds(g)
     assert all(st.rumors_held[v] == {v} for v in range(5))
 
@@ -202,14 +223,14 @@ def test_measure_broadcast_rounds_leaves_caller_state_alone():
 
 def test_disperse_noop_below_threshold():
     g = net({1}, {0})
-    st = initial_state(g)
+    st = SimState(g)
     assert disperse(g, st, 2) == 0
     assert st.round == 0
 
 
 def test_disperse_k3_single_selection():
     g = net({1, 2}, {0, 2}, {0, 1})
-    st = initial_state(g)
+    st = SimState(g)
     for v in range(3):
         step(g, st, {v}, phase="rr")
     assert [st.active_rumor_count(v) for v in range(3)] == [3, 3, 3]
@@ -220,7 +241,7 @@ def test_disperse_k3_single_selection():
 def test_disperse_postcondition_and_selection_bound():
     for seed in range(6):
         g = random_strongly_connected(10, 0.2, seed)
-        st = initial_state(g)
+        st = SimState(g)
         for v in range(10):
             step(g, st, {v}, phase="rr")
         mu = 3
@@ -233,12 +254,12 @@ def test_disperse_postcondition_and_selection_bound():
 
 def test_disperse_surcharge_accounting():
     g = net({1, 2}, {0, 2}, {0, 1})
-    st = initial_state(g)
+    st = SimState(g)
     for v in range(3):
         step(g, st, {v}, phase="rr")
-    tb = TraceBuilder()
-    disperse(g, st, 3, trace=tb)
-    real_rounds = len(tb.records)
+    rr_records = len(st.records)
+    disperse(g, st, 3)
+    real_rounds = len(st.records) - rr_records
     assert st.phase_rounds["disperse"] == real_rounds * (1 + math.ceil(math.log2(3)))
 
 
@@ -248,7 +269,7 @@ def test_disperse_surcharge_accounting():
 
 def test_quasi_gossip_single_node_one_round():
     g = net(set(),)
-    st = initial_state(g)
+    st = SimState(g)
     quasi_gossip(g, st, 1, cached_provider())
     assert st.round == 1
     assert check_quasi_gossip_done(g, st)
@@ -256,16 +277,16 @@ def test_quasi_gossip_single_node_one_round():
 
 def test_quasi_gossip_cycle_postconditions():
     g = net({1}, {2}, {3}, {0})
-    st = initial_state(g)
-    tb = quasi_gossip(g, st, 2, cached_provider())
-    assert tb.checks["quasi_done"]
-    assert tb.checks["post_line4_max_active_in_degree"] < 2
+    st = SimState(g)
+    assert quasi_gossip(g, st, 2, cached_provider()) is None
+    assert st.checks["quasi_done"]
+    assert st.checks["post_line4_max_active_in_degree"] < 2
     assert check_quasi_gossip_done(g, st)
 
 
 def test_quasi_gossip_enters_selector_loop_on_sparse_cycle():
     g = random_strongly_connected(8, 0.0, 0)
-    st = initial_state(g)
+    st = SimState(g)
     events = []
     quasi_gossip(g, st, 6, cached_provider(),
                  hook=lambda ev, *_a, **_k: events.append(ev))
@@ -281,7 +302,7 @@ def test_quasi_gossip_fails_with_useless_selector():
     g = net(set(), set(), set(), set(), set(), set(), set(range(6)), set(range(6)))
     junk = lambda k, n_: Selector(n_, tuple(frozenset(range(n_)) for _ in range(4)))
     with pytest.raises(QuasiGossipFailedError):
-        quasi_gossip(g, initial_state(g), 7, junk)
+        quasi_gossip(g, SimState(g), 7, junk)
 
 
 def test_gossip_k2():
@@ -343,20 +364,20 @@ def test_choose_kappa_values():
 
 def test_check_done_all_dormant():
     g = net({1}, {0})
-    st = initial_state(g)
+    st = SimState(g)
     st.rumor_active = [False, False]
     assert check_quasi_gossip_done(g, st)
 
 
 def test_check_done_active_rumor_stuck_among_actives():
     g = net({1}, {0})
-    st = initial_state(g)
+    st = SimState(g)
     assert not check_quasi_gossip_done(g, st)
 
 
 def test_active_path_ell_no_active_nodes():
     g = net({1}, {0})
-    st = initial_state(g)
+    st = SimState(g)
     st.rumor_active = [False, False]
     assert active_path_ell(g, st, 1) == 2
 
@@ -364,14 +385,14 @@ def test_active_path_ell_no_active_nodes():
 def test_active_path_ell_single_node_violation():
     # Node 2 has two active in-neighbors; with kappa=2 even 1-node paths fail.
     g = net({2}, {2}, {0, 1})
-    st = initial_state(g)
+    st = SimState(g)
     assert active_path_ell(g, st, 2) == 0
     assert active_path_ell(g, st, 3) == 1  # 2-node paths gather 3 in-neighbors
 
 
 def test_active_path_ell_cycle():
     g = net({1}, {2}, {3}, {0})
-    st = initial_state(g)
+    st = SimState(g)
     # A path of j nodes on a directed cycle has an active in-neighborhood of
     # exactly j (its nodes' predecessors), so paths shorter than kappa pass.
     assert active_path_ell(g, st, 3) == 2
