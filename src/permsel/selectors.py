@@ -5,11 +5,19 @@ A set S isolates x from X when S intersects X on exactly {x}.  The verifiers
 here check, by exhaustive enumeration, the four selection properties this
 package deals with: strong selection, ordered (permutation) selection, and
 the two "at least q elements" relaxations of each.
+
+All of them read one core.  A verify builds each label's column once (an
+int with bit t set when set t contains the label); the isolation times of
+each x in a target set X are then x's column minus the times that hit two
+or more members of X.  Strong and kq selection count the non-empty ones.
+The ordered targets decide every ordering of X at once with a subset DP
+over X's critical length, and walk X's orderings one by one only when X
+fails it, so counterexamples stay the lexicographically smallest.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -56,10 +64,6 @@ class Selector:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def masks(self) -> list[int]:
-        """Each set as an integer bit mask (bit x set iff x is a member)."""
-        return [_mask(s) for s in self.sets]
 
     def append(self, extra: Iterable[Label]) -> "Selector":
         """A new selector with one more set at the end."""
@@ -136,13 +140,6 @@ class Verdict:
 OK = Verdict(ok=True)
 
 
-def _mask(labels: Iterable[Label]) -> int:
-    m = 0
-    for x in labels:
-        m |= 1 << x
-    return m
-
-
 # ---------------------------------------------------------------------------
 # isolation primitives
 # ---------------------------------------------------------------------------
@@ -155,52 +152,98 @@ def isolates(s: Iterable[Label], x_set: Iterable[Label]) -> Optional[Label]:
     return None
 
 
+def _columns(selector: Selector) -> list[int]:
+    """For each label x, the bitset of the times t whose set contains x."""
+    cols = [0] * selector.universe_size
+    for t, s in enumerate(selector.sets):
+        bit = 1 << t
+        for x in s:
+            cols[x] |= bit
+    return cols
+
+
+def _isolation_times(cols: Sequence[int], x_tuple: Sequence[Label]) -> list[int]:
+    """For each x of x_tuple (distinct labels), the bitset of the times whose
+    set isolates x from x_tuple."""
+    seen = shared = 0
+    for x in x_tuple:
+        shared |= seen & cols[x]
+        seen |= cols[x]
+    return [cols[x] & ~shared for x in x_tuple]
+
+
+def _in_order(times_of: dict[Label, int], order: Sequence[Label]) -> bool:
+    # Greedy earliest match (exact for subsequence containment): each step
+    # moves t to the lowest time after it in the next label's bitset.
+    t = -1
+    for x in order:
+        later = times_of[x] >> (t + 1)
+        if not later:
+            return False
+        t += (later & -later).bit_length()
+    return True
+
+
+def _critical_length(iso: Sequence[int]) -> Optional[int]:
+    """The shortest selector prefix in which every ordering of X is isolated
+    in order, given X's isolation times; None when the whole selector is not
+    enough.
+
+    Subset DP over bitmasks of X's positions: the greedy match of an
+    ordering ending in x finishes at next(x, end of its prefix), and next is
+    monotone, so the latest end over the orderings of S is
+    end(S) = max over x in S of next(x, end(S - {x})).  That is 2^|X| |X|
+    steps in place of |X|! |X|.
+    """
+    end = [-1] * (1 << len(iso))
+    for subset in range(1, len(end)):
+        latest = -1
+        rest = subset
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t = end[subset ^ bit]
+            later = iso[bit.bit_length() - 1] >> (t + 1)
+            if not later:
+                return None
+            t += (later & -later).bit_length()
+            if t > latest:
+                latest = t
+        end[subset] = latest
+    return end[-1] + 1
+
+
+def _trace_events(times_of: dict[Label, int]) -> list[tuple[int, Label]]:
+    """The (time, label) isolation events of the bitsets, in time order."""
+    events = []
+    for x, times in times_of.items():
+        while times:
+            low = times & -times
+            events.append((low.bit_length() - 1, x))
+            times ^= low
+    events.sort()
+    return events
+
+
+def _times_of(selector: Selector, x_set: Iterable[Label]) -> dict[Label, int]:
+    # Labels outside the universe are in no set: never isolated, never in the way.
+    cols = _columns(selector)
+    labels = frozenset(x_set)
+    inside = [x for x in labels if 0 <= x < len(cols)]
+    times_of = dict.fromkeys(labels, 0)
+    times_of.update(zip(inside, _isolation_times(cols, inside)))
+    return times_of
+
+
 def isolation_trace(selector: Selector, x_set: Iterable[Label]) -> IsolationTrace:
     """All (index, label) isolation events of the selector against x_set."""
-    xmask = _mask(x_set)
-    events = []
-    for t, s in enumerate(selector.sets):
-        inter = _mask(s) & xmask
-        if inter and inter & (inter - 1) == 0:
-            events.append((t, inter.bit_length() - 1))
-    return IsolationTrace(tuple(events))
-
-
-def _trace_labels(masks: Sequence[int], xmask: int) -> list[Label]:
-    labels = []
-    for m in masks:
-        inter = m & xmask
-        if inter and inter & (inter - 1) == 0:
-            labels.append(inter.bit_length() - 1)
-    return labels
-
-
-def _positions_by_label(trace_labels: Sequence[Label]) -> dict[Label, list[int]]:
-    pos: dict[Label, list[int]] = {}
-    for i, x in enumerate(trace_labels):
-        pos.setdefault(x, []).append(i)
-    return pos
-
-
-def _contains_in_order(pos: dict[Label, list[int]], order: Sequence[Label]) -> bool:
-    # Greedy earliest match; exact for subsequence containment.
-    cur = -1
-    for x in order:
-        lst = pos.get(x)
-        if lst is None:
-            return False
-        j = bisect_right(lst, cur)
-        if j == len(lst):
-            return False
-        cur = lst[j]
-    return True
+    return IsolationTrace(tuple(_trace_events(_times_of(selector, x_set))))
 
 
 def isolates_permutation(selector: Selector, instance: Instance) -> bool:
     """True iff the isolation trace of instance.subset contains instance.order
     as a (not necessarily contiguous) subsequence."""
-    labels = _trace_labels(selector.masks(), _mask(instance.subset))
-    return _contains_in_order(_positions_by_label(labels), instance.order)
+    return _in_order(_times_of(selector, instance.subset), instance.order)
 
 
 def lis_length(positions: Sequence[int]) -> int:
@@ -264,14 +307,14 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         )
 
 
-def _traces(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
-            budget: int) -> Iterator[tuple[tuple[Label, ...], list[Label]]]:
+def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
+                budget: int) -> Iterator[tuple[tuple[Label, ...], list[int]]]:
     """Validate and charge (see `_charge`), then yield every target set X
-    in lexicographic order with the labels of its isolation trace."""
+    in lexicographic order with the isolation times of each of its elements."""
     _charge(selector.universe_size, len(selector), k, target, q, size_mode, budget)
-    masks = selector.masks()
+    cols = _columns(selector)
     for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        yield x_tuple, _trace_labels(masks, _mask(x_tuple))
+        yield x_tuple, _isolation_times(cols, x_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +328,9 @@ def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
     Mode "exact" ranges over sets of size exactly k, "up_to" over sizes
     1..k.  Returns the lexicographically smallest failing (X, x).
     """
-    for x_tuple, labels in _traces(selector, k, "strong", None, size_mode, budget):
-        seen = set(labels)
-        for x in x_tuple:
-            if x not in seen:
+    for x_tuple, iso in _isolations(selector, k, "strong", None, size_mode, budget):
+        for x, times in zip(x_tuple, iso):
+            if not times:
                 return Verdict(ok=False, x_set=x_tuple, element=x)
     return OK
 
@@ -297,14 +339,16 @@ def verify_permutation_selector(selector: Selector, k: int, size_mode: str = "ex
                                 budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that every ordering of every target set is isolated in order.
 
-    Returns the lexicographically smallest failing instance (X sorted,
-    then the order lexicographically).
+    Each target set is decided at once by its critical length (a subset DP,
+    2^|X| |X| steps); only a failing set has its orderings walked.  Returns
+    the lexicographically smallest failing instance (X sorted, then the
+    order lexicographically).
     """
-    for x_tuple, labels in _traces(selector, k, "permutation", None, size_mode, budget):
-        pos = _positions_by_label(labels)
-        for order in permutations(x_tuple):
-            if not _contains_in_order(pos, order):
-                return Verdict(ok=False, x_set=x_tuple, order=order)
+    for x_tuple, iso in _isolations(selector, k, "permutation", None, size_mode, budget):
+        if _critical_length(iso) is None:
+            times_of = dict(zip(x_tuple, iso))
+            order = next(o for o in permutations(x_tuple) if not _in_order(times_of, o))
+            return Verdict(ok=False, x_set=x_tuple, order=order)
     return OK
 
 
@@ -315,8 +359,8 @@ def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exa
     For target sets smaller than q (possible in up_to mode) the requirement
     drops to the set's size.
     """
-    for x_tuple, labels in _traces(selector, k, "kq", q, size_mode, budget):
-        if len(set(labels)) < min(q, len(x_tuple)):
+    for x_tuple, iso in _isolations(selector, k, "kq", q, size_mode, budget):
+        if len(iso) - iso.count(0) < min(q, len(x_tuple)):
             return Verdict(ok=False, x_set=x_tuple)
     return OK
 
@@ -326,13 +370,17 @@ def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
                                    budget: int = DEFAULT_BUDGET) -> Verdict:
     """Check that some q elements of every ordering are isolated in that order.
 
-    For each instance the trace labels are mapped to their positions in the
-    order; the instance passes when the longest strictly increasing
-    subsequence of those positions reaches q (capped at the instance size
-    in up_to mode).
+    A target set whose every ordering is isolated in full (it has a critical
+    length) passes for every q.  For any other set the trace labels are
+    mapped to their positions in each order; the instance passes when the
+    longest strictly increasing subsequence of those positions reaches q
+    (capped at the instance size in up_to mode).
     """
-    for x_tuple, labels in _traces(selector, k, "kq_permutation", q, size_mode, budget):
+    for x_tuple, iso in _isolations(selector, k, "kq_permutation", q, size_mode, budget):
+        if _critical_length(iso) is not None:
+            continue
         need = min(q, len(x_tuple))
+        labels = [x for _, x in _trace_events(dict(zip(x_tuple, iso)))]
         for order in permutations(x_tuple):
             pos_of = {x: d for d, x in enumerate(order)}
             if lis_length([pos_of[x] for x in labels]) < need:

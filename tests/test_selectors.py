@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsel import selectors
 from permsel.errors import BudgetExceededError
 from permsel.selectors import (
     VERIFY_TARGETS,
@@ -197,6 +198,25 @@ def test_verify_rejects_unknown_target_and_missing_q():
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         verify_permutation_selector(singleton_selector(12), 8, "exact", budget=1000)
+
+
+@pytest.mark.parametrize("target,cost", [("strong", 5940), ("kq", 5940),
+                                         ("permutation", 239500800),
+                                         ("kq_permutation", 239500800)])
+def test_budget_refusal_builds_no_columns(monkeypatch, target, cost):
+    # C(12, 8) = 495 target sets (x 8! orderings when ordered) x 12 sets.
+    def no_columns(selector):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(selectors, "_columns", no_columns)
+    s = singleton_selector(12)
+    with pytest.raises(BudgetExceededError) as refused:
+        verify(s, 8, target, q=2, budget=1000)
+    assert str(refused.value) == (
+        f"verification needs ~{cost} primitive isolation checks, budget is 1000")
+    # Within budget the same call does reach `_columns`.
+    with pytest.raises(AssertionError, match="columns built"):
+        verify(s, 8, target, q=2, budget=cost)
 
 
 # ---------------------------------------------------------------------------
