@@ -59,5 +59,5 @@ print("  ...")
 print("summary:", trace.summary_line())
 print("replay starts at record", trace.replay_start)
 print("checks:", trace.checks)
-complete = all(len(held) == n for held in trace.final_rumors_held)
+complete = all(held == (1 << n) - 1 for held in trace.rumors_held)
 print(f"every node ended with all {n} rumors: {complete}")

@@ -33,7 +33,6 @@ from .errors import (
 from .radio import (
     Network,
     SimState,
-    SimTrace,
     active_path_ell,
     broadcast,
     check_quasi_gossip_done,

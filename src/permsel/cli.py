@@ -147,7 +147,9 @@ def cmd_simulate(args) -> int:
     if args.kappa is not None:
         kappa = args.kappa
     else:
-        b_rounds = args.broadcast_rounds or radio.measure_broadcast_rounds(network)
+        b_rounds = args.broadcast_rounds
+        if b_rounds is None:
+            b_rounds = radio.measure_broadcast_rounds(network)
         kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
     if args.selector is not None:
         loaded, _ = selectors.load_selector(args.selector)
@@ -164,11 +166,11 @@ def cmd_simulate(args) -> int:
             budget=_budget(),
         )
         provider = lambda k, n: build.build_verified(k, n, config)[0]
-    trace = radio.gossip(network, kappa, provider)
+    state = radio.gossip(network, kappa, provider)
     if args.trace:
-        radio.save_trace(args.trace, trace)
+        radio.save_trace(args.trace, state)
     print(f"kappa={kappa}")
-    print(trace.summary_line())
+    print(state.summary_line())
     print("audit=pass")
     return EXIT_OK
 

@@ -7,6 +7,10 @@ collision from silence).  On top of this channel the module implements
 deterministic round-robin broadcast, the rumor-grouping Disperse loop, the
 selector-driven quasi-gossip protocol, and full gossip by schedule replay.
 
+A rumor is identified by its originator's label, and every rumor set is an
+int bitmask: bit r is set when the set holds rumor r.  Union is `|`, and a
+set P is contained in H when `P & ~H == 0`.
+
 Cost accounting note: choosing each Disperse source would take a broadcast
 and binary-search sub-protocol in a fully distributed setting.  The
 simulator selects the source with global knowledge and instead charges an
@@ -31,8 +35,6 @@ from .errors import (
     UnreachableNodeError,
 )
 from .selectors import Selector
-
-Hook = Callable[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,10 @@ def network_from_text(text: str) -> Network:
             raise ValueError(f"node label {v} outside [0, {n})")
         if out_edges[v] is not None:
             raise ValueError(f"duplicate line for node {v}")
-        out_edges[v] = frozenset(int(w) for w in rest.split())
+        outs = [int(w) for w in rest.split()]
+        if len(set(outs)) != len(outs):
+            raise ValueError(f"node {v} repeats an out-label: {line!r}")
+        out_edges[v] = frozenset(outs)
     return Network(tuple(s if s is not None else frozenset() for s in out_edges))
 
 
@@ -138,34 +143,33 @@ def _reachable(out_edges: Sequence[frozenset[int]], start: int) -> set[int]:
 
 
 def is_strongly_connected(network: Network) -> bool:
+    """Every node reaches node 0 and node 0 reaches every node (self-loops,
+    absent from `in_neighbors`, do not affect reachability)."""
     n = network.n
-    if n <= 1:
-        return True
-    if len(_reachable(network.out_edges, 0)) != n:
-        return False
-    reverse = [set() for _ in range(n)]
-    for u, outs in enumerate(network.out_edges):
-        for v in outs:
-            reverse[v].add(u)
-    return len(_reachable([frozenset(s) for s in reverse], 0)) == n
+    return n <= 1 or (len(_reachable(network.out_edges, 0)) == n
+                      and len(_reachable(network.in_neighbors, 0)) == n)
 
 
 # ---------------------------------------------------------------------------
-# state and traces
+# state and trace
 # ---------------------------------------------------------------------------
+
+def _labels(mask: int) -> list[int]:
+    """The labels whose bits are set in mask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
 
 class SimState:
-    """Mutable per-run state: rumor sets, rumor activity, round accounting,
-    and the transmission records and postcondition checks of the run.
+    """One run: rumor sets (`rumors_held`), rumor activity, round accounting
+    (`round` includes surcharge), and the records and checks of the run.
 
-    A rumor is identified by its originator's label; node v is active iff
-    rumor v is still active (never broadcast).
+    Bit v of `active` is set while rumor v is active (never broadcast);
+    node v is active iff rumor v is.
     """
 
     def __init__(self, network: Network):
-        self.network = network
-        self.rumors_held: list[set[int]] = [{v} for v in range(network.n)]
-        self.rumor_active: list[bool] = [True] * network.n
+        self.rumors_held: list[int] = [1 << v for v in range(network.n)]
+        self.active: int = (1 << network.n) - 1
         self.round: int = 0
         self.phase_rounds: dict[str, int] = {}
         self.records: list[RoundRecord] = []
@@ -173,24 +177,27 @@ class SimState:
         self.replay_start: Optional[int] = None
 
     def active_nodes(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.network.n) if self.rumor_active[v])
+        return frozenset(_labels(self.active))
 
     def active_rumor_count(self, v: int) -> int:
-        return sum(1 for r in self.rumors_held[v] if self.rumor_active[r])
+        return (self.rumors_held[v] & self.active).bit_count()
 
     def charge(self, phase: str, rounds: int) -> None:
         self.round += rounds
         self.phase_rounds[phase] = self.phase_rounds.get(phase, 0) + rounds
 
-    def freeze(self) -> "SimTrace":
-        return SimTrace(
-            records=tuple(self.records),
-            phase_rounds=dict(self.phase_rounds),
-            total_rounds=self.round,
-            checks=dict(self.checks),
-            replay_start=self.replay_start,
-            final_rumors_held=tuple(frozenset(s) for s in self.rumors_held),
+    def summary_line(self) -> str:
+        return (
+            f"rounds_total={self.round}"
+            f" rounds_selector={self.phase_rounds.get('selector', 0)}"
+            f" rounds_disperse={self.phase_rounds.get('disperse', 0)}"
+            f" rounds_rr={self.phase_rounds.get('rr', 0)}"
         )
+
+    def to_text(self) -> str:
+        lines = [rec.line() for rec in self.records]
+        lines.append(self.summary_line())
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -211,34 +218,9 @@ class RoundRecord:
         return f"round={self.index} tx={{{tx}}} rx=[{rx}] collisions=[{coll}]"
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    """Immutable record of a finished run."""
-
-    records: tuple[RoundRecord, ...]
-    phase_rounds: dict[str, int]
-    total_rounds: int
-    checks: dict[str, object]
-    replay_start: Optional[int]
-    final_rumors_held: tuple[frozenset[int], ...]
-
-    def summary_line(self) -> str:
-        return (
-            f"rounds_total={self.total_rounds}"
-            f" rounds_selector={self.phase_rounds.get('selector', 0)}"
-            f" rounds_disperse={self.phase_rounds.get('disperse', 0)}"
-            f" rounds_rr={self.phase_rounds.get('rr', 0)}"
-        )
-
-    def to_text(self) -> str:
-        lines = [rec.line() for rec in self.records]
-        lines.append(self.summary_line())
-        return "\n".join(lines) + "\n"
-
-
-def save_trace(path, trace: SimTrace) -> None:
+def save_trace(path, state: SimState) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(trace.to_text())
+        f.write(state.to_text())
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +233,13 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     iff it has exactly one transmitting in-neighbor.  The round's record is
     appended to `state.records`.
 
-    Each message is the transmitter's full rumor set, snapshotted at the
-    start of the round.
+    Each message is the transmitter's full rumor set as it was at the start
+    of the round: every message is read before any receiver's set grows.
     """
     tx = frozenset(transmitters)
     for u in tx:
         if not 0 <= u < network.n:
             raise ValueError(f"unknown transmitter label {u}")
-    msgs = {u: frozenset(state.rumors_held[u]) for u in tx}
     count: dict[int, int] = {}
     sender: dict[int, int] = {}
     for u in tx:
@@ -269,24 +250,20 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
             sender[v] = u
     received = tuple(sorted((v, sender[v]) for v, c in count.items() if c == 1))
     collisions = frozenset(v for v, c in count.items() if c >= 2)
-    for v, u in received:
-        state.rumors_held[v] |= msgs[u]
-    record = RoundRecord(
-        index=state.round,
-        phase=phase,
-        transmitters=tx,
-        received=received,
-        collisions=collisions,
-    )
+    held = state.rumors_held
+    msgs = [held[u] for _, u in received]
+    for (v, _), msg in zip(received, msgs):
+        held[v] |= msg
+    record = RoundRecord(state.round, phase, tx, received, collisions)
     state.charge(phase, 1)
     state.records.append(record)
     return record
 
 
-def audit_trace(network: Network, trace: SimTrace) -> bool:
+def audit_trace(network: Network, state: SimState) -> bool:
     """Re-derive every delivery and collision from the transmitter sets and
     the topology; raises on any inconsistency."""
-    for rec in trace.records:
+    for rec in state.records:
         count: dict[int, int] = {}
         sender: dict[int, int] = {}
         for u in rec.transmitters:
@@ -320,22 +297,24 @@ def broadcast(network: Network, state: SimState, source: int,
         raise ValueError(f"unknown source label {source}")
     reachable = _reachable(network.out_edges, source)
     if len(reachable) != network.n:
-        missing = min(set(range(network.n)) - reachable)
-        raise UnreachableNodeError(source, missing)
-    payload = frozenset(state.rumors_held[source])
-    holds = [payload <= state.rumors_held[v] for v in range(network.n)]
+        raise UnreachableNodeError(source, min(set(range(network.n)) - reachable))
+    held = state.rumors_held
+    payload = held[source]
+    holds = [payload & ~h == 0 for h in held]
+    missing = holds.count(False)
     rounds = 0
     for _ in range(network.n):
         for slot in range(network.n):
-            if all(holds):
+            if not missing:
                 return rounds
             step(network, state, {slot} if holds[slot] else (), phase=phase)
             rounds += 1
             if holds[slot]:
                 for w in network.out_edges[slot]:
-                    if w != slot and payload <= state.rumors_held[w]:
+                    if not holds[w] and payload & ~held[w] == 0:
                         holds[w] = True
-    if not all(holds):
+                        missing -= 1
+    if missing:
         raise RuntimeError(f"broadcast from {source} did not complete in n^2 rounds")
     return rounds
 
@@ -350,8 +329,7 @@ def measure_broadcast_rounds(network: Network, source: int = 0) -> int:
 # disperse and gossip
 # ---------------------------------------------------------------------------
 
-def disperse(network: Network, state: SimState, mu: int,
-             hook: Optional[Hook] = None) -> int:
+def disperse(network: Network, state: SimState, mu: int) -> int:
     """While some node holds at least mu active rumors, broadcast from the
     node holding the most (lowest label on ties) and mark every rumor it
     carried at the start of its broadcast dormant.  Returns the number of
@@ -366,36 +344,32 @@ def disperse(network: Network, state: SimState, mu: int,
         if best < mu:
             break
         source = counts.index(best)  # lowest label among the maxima
-        payload = frozenset(state.rumors_held[source])
+        payload = state.rumors_held[source]
         rounds = broadcast(network, state, source, "disperse")
         state.charge("disperse", rounds * log_factor)  # selection surcharge
-        for r in payload:
-            state.rumor_active[r] = False
+        state.active &= ~payload
         selections += 1
-    if hook is not None:
-        hook("after_disperse", network, state, mu=mu, selections=selections)
     return selections
 
 
 def check_quasi_gossip_done(network: Network, state: SimState) -> bool:
     """True iff every node is dormant or its rumor has reached a dormant node."""
-    dormant_union: set[int] = set()
-    for w in range(network.n):
-        if not state.rumor_active[w]:
-            dormant_union |= state.rumors_held[w]
-    return all(not state.rumor_active[v] or v in dormant_union for v in range(network.n))
+    dormant_union = 0
+    for w, held in enumerate(state.rumors_held):
+        if not state.active >> w & 1:
+            dormant_union |= held
+    return state.active & ~dormant_union == 0
 
 
 def _max_active_in_degree(network: Network, state: SimState) -> int:
     return max(
-        (sum(1 for u in network.in_neighbors[v] if state.rumor_active[u]) for v in range(network.n)),
+        (sum(state.active >> u & 1 for u in network.in_neighbors[v]) for v in range(network.n)),
         default=0,
     )
 
 
 def quasi_gossip(network: Network, state: SimState, kappa: int,
-                 selector_provider: Callable[[int, int], Selector],
-                 hook: Optional[Hook] = None) -> None:
+                 selector_provider: Callable[[int, int], Selector]) -> None:
     """Run the quasi-gossip protocol:
 
       1. one singleton pass where each node transmits its rumors in turn,
@@ -416,28 +390,24 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         raise ValueError("kappa must be at least 1")
     for v in range(network.n):
         step(network, state, {v}, phase="rr")
-    disperse(network, state, kappa, hook)
+    disperse(network, state, kappa)
     max_in = _max_active_in_degree(network, state)
     state.checks["post_line4_max_active_in_degree"] = max_in
     if max_in >= kappa:
         raise QuasiGossipFailedError(
             f"after Disperse(kappa) some node still has {max_in} >= kappa={kappa} active in-neighbors"
         )
-    if hook is not None:
-        hook("after_line4", network, state, kappa=kappa)
     done = check_quasi_gossip_done(network, state)
     if not done:
         selector = selector_provider(kappa, network.n)
         iterations = math.ceil(math.log2(kappa)) + 1 if kappa > 1 else 1
         half = math.ceil(kappa / 2)
-        for iteration in range(iterations):
+        for _ in range(iterations):
             active = state.active_nodes()
             for s in selector.sets:
                 step(network, state, s & active, phase="selector")
-            disperse(network, state, half, hook)
+            disperse(network, state, half)
             done = check_quasi_gossip_done(network, state)
-            if hook is not None:
-                hook("after_iteration", network, state, iteration=iteration, done=done)
             if done:
                 break
     if not done:
@@ -446,19 +416,19 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
 
 
 def gossip_complete(network: Network, state: SimState) -> bool:
-    return all(len(state.rumors_held[v]) == network.n for v in range(network.n))
+    everything = (1 << network.n) - 1
+    return all(held == everything for held in state.rumors_held)
 
 
 def gossip(network: Network, kappa: int,
-           selector_provider: Callable[[int, int], Selector],
-           hook: Optional[Hook] = None) -> SimTrace:
+           selector_provider: Callable[[int, int], Selector]) -> SimState:
     """Full gossip: run quasi-gossip from a fresh state, then replay its
     entire transmitter schedule once.  Audits that every node ends holding
-    all n rumors."""
+    all n rumors, and returns the run's state."""
     if not is_strongly_connected(network):
         raise NotStronglyConnectedError("gossip requires a strongly connected network")
     state = SimState(network)
-    quasi_gossip(network, state, kappa, selector_provider, hook)
+    quasi_gossip(network, state, kappa, selector_provider)
     schedule = [(rec.phase, rec.transmitters) for rec in state.records]
     state.replay_start = len(state.records)
     for phase, tx in schedule:
@@ -466,7 +436,7 @@ def gossip(network: Network, kappa: int,
     if not gossip_complete(network, state):
         raise GossipIncompleteError("some node is missing rumors after the replay")
     state.checks["gossip_complete"] = True
-    return state.freeze()
+    return state
 
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:
@@ -493,13 +463,13 @@ def active_path_ell(network: Network, state: SimState, kappa: int,
     in-neighborhood already reached kappa (extensions only grow it).
     """
     n = network.n
-    active = [v for v in range(n) if state.rumor_active[v]]
+    active = _labels(state.active)
     if not active:
         return n
-    act_in = {v: frozenset(u for u in network.in_neighbors[v] if state.rumor_active[u])
+    act_in = {v: frozenset(u for u in network.in_neighbors[v] if state.active >> u & 1)
               for v in active}
     act_out = {v: sorted(w for w in network.out_edges[v]
-                         if w != v and state.rumor_active[w]) for v in active}
+                         if w != v and state.active >> w & 1) for v in active}
     best: Optional[int] = None  # shortest violating path length found
     expansions = 0
 

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from permsel import radio
 from permsel.build import (
     BuildConfig,
     build_verified,
@@ -194,46 +195,56 @@ def _protocol_cases():
     return cases
 
 
-def test_criterion_07_protocol_correctness():
+def _observe_disperse(monkeypatch, observe):
+    """Call observe(network, state, mu) after every Disperse of the protocol:
+    the end of quasi-gossip's line 4 and of each selector iteration."""
+    disperse = radio.disperse
+
+    def observed(network, state, mu):
+        selections = disperse(network, state, mu)
+        observe(network, state, mu)
+        return selections
+
+    monkeypatch.setattr(radio, "disperse", observed)
+
+
+def test_criterion_07_protocol_correctness(monkeypatch):
     loop_runs = 0
+    disperse_ok = []
+
+    def observe(net_, st_, mu):
+        piles = [st_.active_rumor_count(v) for v in range(net_.n)]
+        disperse_ok.append(max(piles, default=0) < mu)
+
+    _observe_disperse(monkeypatch, observe)
     for n, p, seed, kappa in _protocol_cases():
         network = random_strongly_connected(n, p, seed)
-        disperse_ok = []
-
-        def hook(event, net_, st_, **info):
-            if event == "after_disperse":
-                piles = [st_.active_rumor_count(v) for v in range(net_.n)]
-                disperse_ok.append(max(piles, default=0) < info["mu"])
-
-        trace = gossip(network, kappa, _provider, hook=hook)
-        assert trace.checks["quasi_done"]
-        assert trace.checks["post_line4_max_active_in_degree"] < kappa
-        assert trace.checks["gossip_complete"]
-        assert all(len(held) == n for held in trace.final_rumors_held)
-        assert all(disperse_ok)
-        if trace.phase_rounds.get("selector", 0) > 0:
+        state = gossip(network, kappa, _provider)
+        assert state.checks["quasi_done"]
+        assert state.checks["post_line4_max_active_in_degree"] < kappa
+        assert state.checks["gossip_complete"]
+        assert all(held == (1 << n) - 1 for held in state.rumors_held)
+        if state.phase_rounds.get("selector", 0) > 0:
             loop_runs += 1
+    assert disperse_ok and all(disperse_ok)
     assert loop_runs >= 5  # the repeat loop is genuinely exercised
     _report(7, f"gossip completes on all 50 networks ({loop_runs} used the selector phase)")
 
 
-def test_criterion_08_ell_doubling():
+def test_criterion_08_ell_doubling(monkeypatch):
     checked = 0
+    ell_log = []  # (ell, done) after each Disperse of the current case
+
+    def observe(net_, st_, mu):  # kappa is the current case's
+        ell_log.append((active_path_ell(net_, st_, kappa), check_quasi_gossip_done(net_, st_)))
+
+    _observe_disperse(monkeypatch, observe)
     for n, p, seed, kappa in _protocol_cases():
         if n > 16:
             continue
         network = random_strongly_connected(n, p, seed)
-        state = SimState(network)
-        ell_log = []
-
-        def hook(event, net_, st_, **info):
-            if event == "after_line4":
-                ell_log.append((active_path_ell(net_, st_, kappa),
-                                check_quasi_gossip_done(net_, st_)))
-            elif event == "after_iteration":
-                ell_log.append((active_path_ell(net_, st_, kappa), info["done"]))
-
-        quasi_gossip(network, state, kappa, _provider, hook=hook)
+        ell_log.clear()
+        quasi_gossip(network, SimState(network), kappa, _provider)
         for (ell_prev, _), (ell_new, done_after) in zip(ell_log, ell_log[1:]):
             assert done_after or ell_new >= min(2 * ell_prev, n), \
                 f"n={n} seed={seed} kappa={kappa}: ell {ell_prev} -> {ell_new}"

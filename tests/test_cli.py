@@ -227,6 +227,21 @@ def test_simulate_rejects_weakly_connected(tmp_path, capsys):
     assert code == 2 and "strongly connected" in err
 
 
+def test_simulate_rejects_repeated_out_label(tmp_path, capsys):
+    net_file = tmp_path / "repeat.txt"
+    net_file.write_text("2\n0: 1 1\n1: 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--network", str(net_file), "--auto")
+    assert (code, out) == (2, "")
+    assert err == "error: node 0 repeats an out-label: '0: 1 1'\n"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_simulate_rejects_nonpositive_broadcast_rounds(capsys, rounds):
+    code, out, err = run(capsys, "simulate", "--random", "6", "0.3", "1", "--auto",
+                         "--broadcast-rounds", rounds)
+    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
+
+
 def test_simulate_deterministic_trace(tmp_path, capsys):
     t1, t2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for t in (t1, t2):

@@ -1,8 +1,8 @@
 """Golden outputs of the CLI for fixed seeds.
 
 Each expected value below was captured once and is stored inline (stdout
-verbatim, files as sha256), so a refactor that changes any byte of a
-selector file, a counterexample line, a gossip trace, a sweep CSV or a
+verbatim, files and texts as sha256), so a refactor that changes any byte of
+a selector file, a counterexample line, a gossip trace, a sweep CSV or a
 minsize answer fails here.
 """
 
@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
+from permsel.build import BuildConfig, build_verified
 from permsel.cli import main
+from permsel.radio import gossip, random_strongly_connected
 
 
 def run(capsys, *argv):
@@ -136,3 +138,63 @@ def test_golden_sweep_jump_csv(tmp_path, capsys):
                        "-o", out_file)
     assert (code, out) == (0, "")
     assert sha256(out_file) == "fdc3626511ec922363245b451d06ca9fd3256e3d125e1a2f0eeefe5db903041e"
+
+
+def test_golden_simulate_large_random_trace(tmp_path, capsys):
+    # 3000 nodes: 68,140 transmission rounds, every Disperse broadcast
+    # carrying rumor sets of up to 3000 rumors.
+    trace = tmp_path / "n3000.trace"
+    code, out, _ = run(capsys, "simulate", "--random", 3000, 0.001, 1, "--auto",
+                       "--trace", trace)
+    assert code == 0
+    assert out == ("kappa=140\nrounds_total=367480 rounds_selector=0 rounds_disperse=361480 "
+                   "rounds_rr=6000\naudit=pass\n")
+    assert sha256(trace) == "ae7e872ecc2fec84cc62821b4168c8e9dbbfb3cb10cf73fd8a74b581b730bff4"
+
+
+_SELECTORS = {}
+
+
+def _provider(k, n):
+    if (k, n) not in _SELECTORS:
+        cfg = BuildConfig(seed=99, target="permutation", size_mode="up_to",
+                          m_override=4 * k * k * max(1, (n - 1).bit_length()))
+        _SELECTORS[k, n] = build_verified(k, n, cfg)[0]
+    return _SELECTORS[k, n]
+
+
+# sha256 of gossip(random_strongly_connected(n, p, seed), kappa, _provider).to_text().
+# The one-way cycles (p = 0.0) with kappa 5 or 6 run the selector phase in 10 of
+# their 14 cases; every case runs the replay.
+GOSSIP_TRACE_GOLDEN = {
+    (5, 0.0, 0, 3): "a6160567fced98bbb6aaf8a512d1b10e0f24da65ff835b7e03a2c552e29ba2e3",
+    (5, 0.0, 1, 3): "0bdf08eb452db82c9e1f320ba754289e613dcab1911341d2c023bf89a0a891ad",
+    (9, 0.2, 0, 3): "132c52fe8644a74c6c31a23b3ea596a4c878efdeac05eb61781b6e5086948867",
+    (9, 0.2, 1, 3): "675c7595b367f5559a52332d07f1b0a1e0a09b63e0edd29034098fce13689a51",
+    (16, 0.1, 0, 3): "992c90d0380ac7df993f52641aeb0ebf8097cb6d52c61245a3b3013b7e783eb2",
+    (16, 0.1, 1, 3): "131ae3aa26c55891c763d03dbdb4116420fb3646bc822c37f00854d88a78ab2f",
+    (24, 0.3, 0, 3): "6c07a8d7ea18c249604e2630dc0c1f4997fb70161085868da5e04eeb8c04fdf4",
+    (24, 0.3, 1, 3): "d8e8e5fff590358716fdbd68e3947dc93d6148244464607eae492530380e32f3",
+    (40, 0.05, 0, 3): "f89789c54eb321d8b0ffb7a1b607b45eeef10b03ebb434f5613599a26c8601f2",
+    (40, 0.05, 1, 3): "0a0d3538d7aa574dae0f65f8fa0559e811152f8a01b4fb3b2697b6812fb322c8",
+    (8, 0.0, 100, 5): "a888ef1e724ebf8fad8cb735585f088d3470ca3625ff8297658ae01c1369e183",
+    (8, 0.0, 101, 6): "48a72911265d40a1cce5cfb9be4e6f7f6b7df97f269b6fb824efe64d226f2c02",
+    (8, 0.0, 102, 5): "42cc0a63e9ab105976d65f08b3bb1c3879fdd18af8f36e078038e3d77d525919",
+    (8, 0.0, 103, 6): "38a9f1c7c61ba8cdbda1f59e7e1f4d9f18c938ef9f6c6f2d33ada7d86512a845",
+    (8, 0.0, 104, 5): "e18d20927166901180950982920d8b19f38033a7fdd448cfebd370396a6cfa39",
+    (8, 0.0, 105, 6): "4149968d868901ab0cd3150feddb57dba9cfb14ddac9fc96a1c9fb02f2eb379b",
+    (8, 0.0, 106, 5): "12137394bdaf4194b4b656788b4cd07927ae53c6914115158838cf42cc41afe1",
+    (8, 0.0, 107, 6): "b79d8b96b1c0edd2b9e440ef757c09ee2fc72e1fd9f0a5fc845bc3367f91d4d4",
+    (8, 0.0, 108, 5): "128ad074622410d7fdd8c5f099d39c70bf094c97bf9d3ddd1cffb3434b1f39ba",
+    (8, 0.0, 109, 6): "0dd8f33dd41bd35117c87eb311598cca540a32468346b9189fcd9995659b57d7",
+    (10, 0.0, 110, 5): "ebc641bef500482f7ad2e46466e5300bc8db93638e8df90ff1e0767b94cf2b8d",
+    (12, 0.0, 111, 5): "a8dd7d7db834490cb189c6f45bb71248fc4ed786e647adf3fb1df792af6699f6",
+    (10, 0.0, 112, 5): "52c2b2357af1c46725f20a91de8a70e8f72dffe516dff806214016e01561faaf",
+    (12, 0.0, 113, 5): "801058ce14e895514e76b72ae86a5c084a111b136e63e090395eef85a1050a3a",
+}
+
+
+@pytest.mark.parametrize("n,p,seed,kappa", list(GOSSIP_TRACE_GOLDEN))
+def test_golden_gossip_trace_text(n, p, seed, kappa):
+    text = gossip(random_strongly_connected(n, p, seed), kappa, _provider).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOSSIP_TRACE_GOLDEN[n, p, seed, kappa]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from permsel import radio
 from permsel.build import BuildConfig, build_verified
 from permsel.errors import (
     NotStronglyConnectedError,
@@ -82,6 +83,12 @@ def test_network_text_errors():
         network_from_text("2\n0: 1\n0: 1\n")
 
 
+def test_network_text_rejects_repeated_out_label():
+    with pytest.raises(ValueError, match="node 0 repeats an out-label"):
+        network_from_text("2\n0: 1 1\n1: 0\n")
+    assert network_from_text("2\n0: 1 0\n1:\n").out_edges == (frozenset({0, 1}), frozenset())
+
+
 def test_random_cycle_and_complete():
     cyc = random_strongly_connected(6, 0.0, 3)
     assert all(len(s) == 1 for s in cyc.out_edges)
@@ -135,7 +142,7 @@ def test_step_single_delivery():
     st = SimState(g)
     rec = step(g, st, {0})
     assert rec.received == ((1, 0),)
-    assert st.rumors_held[1] == {0, 1}
+    assert st.rumors_held[1] == 0b11
 
 
 def test_step_collision_delivers_nothing():
@@ -144,7 +151,7 @@ def test_step_collision_delivers_nothing():
     rec = step(g, st, {0, 1})
     assert rec.received == ()
     assert rec.collisions == frozenset({2})
-    assert st.rumors_held[2] == {2}
+    assert st.rumors_held[2] == 0b100
 
 
 def test_step_self_transmission_is_inert():
@@ -159,8 +166,8 @@ def test_step_messages_snapshot_at_round_start():
     g = net({1}, {2}, set())
     st = SimState(g)
     step(g, st, {0, 1})
-    assert st.rumors_held[2] == {1, 2}
-    assert st.rumors_held[1] == {0, 1}
+    assert st.rumors_held[2] == 0b110
+    assert st.rumors_held[1] == 0b011
 
 
 def test_step_rejects_unknown_label():
@@ -173,10 +180,10 @@ def test_rumor_conservation():
     g = random_strongly_connected(6, 0.3, 4)
     st = SimState(g)
     for v in range(6):
-        before = [set(s) for s in st.rumors_held]
+        before = list(st.rumors_held)
         step(g, st, {v})
-        assert all(b <= a for b, a in zip(before, st.rumors_held))
-        assert all(v in st.rumors_held[v] for v in range(6))
+        assert all(b & ~a == 0 for b, a in zip(before, st.rumors_held))
+        assert all(st.rumors_held[w] >> w & 1 for w in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,7 @@ def test_broadcast_path():
     st = SimState(g)
     rounds = broadcast(g, st, 0)
     assert rounds == 2
-    assert 0 in st.rumors_held[2]
+    assert st.rumors_held[2] & 1
 
 
 def test_broadcast_single_node_zero_rounds():
@@ -200,7 +207,7 @@ def test_broadcast_star_one_pass():
     g = net({1, 2, 3}, set(), set(), set())
     st = SimState(g)
     assert broadcast(g, st, 0) == 1
-    assert all(0 in st.rumors_held[v] for v in range(4))
+    assert all(st.rumors_held[v] & 1 for v in range(4))
 
 
 def test_broadcast_unreachable_reports_node():
@@ -214,7 +221,7 @@ def test_measure_broadcast_rounds_leaves_caller_state_alone():
     g = random_strongly_connected(5, 0.2, 8)
     st = SimState(g)
     measure_broadcast_rounds(g)
-    assert all(st.rumors_held[v] == {v} for v in range(5))
+    assert st.rumors_held == [1 << v for v in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +242,7 @@ def test_disperse_k3_single_selection():
         step(g, st, {v}, phase="rr")
     assert [st.active_rumor_count(v) for v in range(3)] == [3, 3, 3]
     assert disperse(g, st, 3) == 1
+    assert st.active == 0
     assert st.active_nodes() == frozenset()
 
 
@@ -245,7 +253,7 @@ def test_disperse_postcondition_and_selection_bound():
         for v in range(10):
             step(g, st, {v}, phase="rr")
         mu = 3
-        entry_active = sum(1 for v in range(10) if st.rumor_active[v])
+        entry_active = st.active.bit_count()
         selections = disperse(g, st, mu)
         assert max(st.active_rumor_count(v) for v in range(10)) < mu
         assert selections <= entry_active // mu
@@ -284,13 +292,18 @@ def test_quasi_gossip_cycle_postconditions():
     assert check_quasi_gossip_done(g, st)
 
 
-def test_quasi_gossip_enters_selector_loop_on_sparse_cycle():
+def test_quasi_gossip_enters_selector_loop_on_sparse_cycle(monkeypatch):
     g = random_strongly_connected(8, 0.0, 0)
     st = SimState(g)
-    events = []
-    quasi_gossip(g, st, 6, cached_provider(),
-                 hook=lambda ev, *_a, **_k: events.append(ev))
-    assert "after_iteration" in events
+    mus = []
+
+    def counted_disperse(network, state, mu):
+        mus.append(mu)
+        return disperse(network, state, mu)
+
+    monkeypatch.setattr(radio, "disperse", counted_disperse)
+    quasi_gossip(g, st, 6, cached_provider())
+    assert mus[0] == 6 and len(mus) >= 2 and set(mus[1:]) == {3}  # line 4, then each iteration
     assert st.phase_rounds.get("selector", 0) > 0
 
 
@@ -307,16 +320,17 @@ def test_quasi_gossip_fails_with_useless_selector():
 
 def test_gossip_k2():
     g = net({1}, {0})
-    trace = gossip(g, 2, cached_provider())
-    assert all(s == frozenset({0, 1}) for s in trace.final_rumors_held)
+    state = gossip(g, 2, cached_provider())
+    assert state.rumors_held == [0b11, 0b11]
 
 
 def test_gossip_random_16():
     g = random_strongly_connected(16, 0.2, 5)
-    trace = gossip(g, 3, cached_provider())
-    assert trace.checks["gossip_complete"]
-    assert all(len(s) == 16 for s in trace.final_rumors_held)
-    assert audit_trace(g, trace)
+    state = gossip(g, 3, cached_provider())
+    assert state.checks["gossip_complete"]
+    assert all(held.bit_count() == 16 for held in state.rumors_held)
+    assert gossip_complete(g, state)
+    assert audit_trace(g, state)
 
 
 def test_gossip_replay_is_recorded_schedule():
@@ -348,7 +362,7 @@ def test_trace_text_format():
     assert lines[0].startswith("round=0 tx={")
     assert " rx=[" in lines[0] and " collisions=[" in lines[0]
     assert lines[-1].startswith("rounds_total=")
-    assert f"rounds_total={trace.total_rounds}" in lines[-1]
+    assert f"rounds_total={trace.round}" in lines[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +379,18 @@ def test_choose_kappa_values():
 def test_check_done_all_dormant():
     g = net({1}, {0})
     st = SimState(g)
-    st.rumor_active = [False, False]
+    st.active = 0
     assert check_quasi_gossip_done(g, st)
+
+
+def test_check_done_active_rumor_reached_dormant_node():
+    g = net({1}, {0})
+    st = SimState(g)
+    step(g, st, {0})
+    st.active = 0b01  # node 1, which holds rumor 0, is dormant
+    assert check_quasi_gossip_done(g, st)
+    st.rumors_held[1] = 0b10
+    assert not check_quasi_gossip_done(g, st)
 
 
 def test_check_done_active_rumor_stuck_among_actives():
@@ -378,7 +402,7 @@ def test_check_done_active_rumor_stuck_among_actives():
 def test_active_path_ell_no_active_nodes():
     g = net({1}, {0})
     st = SimState(g)
-    st.rumor_active = [False, False]
+    st.active = 0
     assert active_path_ell(g, st, 1) == 2
 
 
