@@ -137,6 +137,8 @@ def cmd_minsize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.broadcast_rounds is not None and args.broadcast_rounds < 1:
+        raise ValueError("broadcast_rounds must be at least 1")
     if args.network is not None:
         network = radio.load_network(args.network)
     else:
@@ -147,9 +149,7 @@ def cmd_simulate(args) -> int:
     if args.kappa is not None:
         kappa = args.kappa
     else:
-        b_rounds = args.broadcast_rounds
-        if b_rounds is None:
-            b_rounds = radio.measure_broadcast_rounds(network)
+        b_rounds = args.broadcast_rounds or radio.measure_broadcast_rounds(network)
         kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
     if args.selector is not None:
         loaded, _ = selectors.load_selector(args.selector)

@@ -248,11 +248,18 @@ def union_bound_value(k: int, universe_size: int, c: float) -> UnionBoundReport:
         raise ValueError("universe size must be at least 2")
     if c <= 0:
         raise ValueError("c must be positive")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got c={c!r}")
     beta = tail_beta(k)
     log_n = math.log2(universe_size)
     m = c * k * k * log_n
+    if math.isinf(m):
+        raise ValueError(f"c={c!r} is too large: m = c*k^2*log2(N) overflows a float")
     log2_per_instance = (m / k) * math.log2(beta) + k * math.log2(m / k)
-    log2_value = 4.0 * k * log_n + k * log_n * math.log2(c * beta**c)
+    # beta**c underflows to 0 for large c; only then split the log2 of the product.
+    product = c * beta**c
+    log2_product = math.log2(product) if product > 0 else math.log2(c) + c * math.log2(beta)
+    log2_value = 4.0 * k * log_n + k * log_n * log2_product
     return UnionBoundReport(
         k=k,
         universe_size=universe_size,

@@ -10,13 +10,16 @@ All of them read one core.  A verify builds each label's column once (an
 int with bit t set when set t contains the label); the isolation times of
 each x in a target set X are then x's column minus the times that hit two
 or more members of X.  Strong and kq selection count the non-empty ones.
-The ordered targets decide every ordering of X at once with a subset DP
-over X's critical length, and walk X's orderings one by one only when X
-fails it, so counterexamples stay the lexicographically smallest.
+The permutation target is the kq_permutation target at q = k, and both run
+one path: every ordering of X is decided at once by a subset DP over X's
+critical length, and only a failing X has its orderings walked once, in
+lexicographic order, each checked by the longest increasing subsequence of
+its trace positions, so counterexamples stay the lexicographically smallest.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -37,9 +40,11 @@ _ORDERED_TARGETS = ("permutation", "kq_permutation")
 _Q_TARGETS = ("kq", "kq_permutation")
 
 
-def _check_mode(size_mode: str) -> None:
+def _sizes(k: int, size_mode: str) -> range:
+    """The target-set sizes of size_mode: k alone for "exact", 1..k for "up_to"."""
     if size_mode not in SIZE_MODES:
         raise ValueError(f"size_mode must be one of {SIZE_MODES}, got {size_mode!r}")
+    return range(k, k + 1) if size_mode == "exact" else range(1, k + 1)
 
 
 @dataclass(frozen=True)
@@ -172,18 +177,6 @@ def _isolation_times(cols: Sequence[int], x_tuple: Sequence[Label]) -> list[int]
     return [cols[x] & ~shared for x in x_tuple]
 
 
-def _in_order(times_of: dict[Label, int], order: Sequence[Label]) -> bool:
-    # Greedy earliest match (exact for subsequence containment): each step
-    # moves t to the lowest time after it in the next label's bitset.
-    t = -1
-    for x in order:
-        later = times_of[x] >> (t + 1)
-        if not later:
-            return False
-        t += (later & -later).bit_length()
-    return True
-
-
 def _critical_length(iso: Sequence[int]) -> Optional[int]:
     """The shortest selector prefix in which every ordering of X is isolated
     in order, given X's isolation times; None when the whole selector is not
@@ -213,10 +206,10 @@ def _critical_length(iso: Sequence[int]) -> Optional[int]:
     return end[-1] + 1
 
 
-def _trace_events(times_of: dict[Label, int]) -> list[tuple[int, Label]]:
-    """The (time, label) isolation events of the bitsets, in time order."""
+def _trace_events(x_tuple: Sequence[Label], iso: Sequence[int]) -> list[tuple[int, Label]]:
+    """The (time, label) isolation events of x_tuple's isolation times, in time order."""
     events = []
-    for x, times in times_of.items():
+    for x, times in zip(x_tuple, iso):
         while times:
             low = times & -times
             events.append((low.bit_length() - 1, x))
@@ -225,25 +218,26 @@ def _trace_events(times_of: dict[Label, int]) -> list[tuple[int, Label]]:
     return events
 
 
-def _times_of(selector: Selector, x_set: Iterable[Label]) -> dict[Label, int]:
-    # Labels outside the universe are in no set: never isolated, never in the way.
-    cols = _columns(selector)
-    labels = frozenset(x_set)
-    inside = [x for x in labels if 0 <= x < len(cols)]
-    times_of = dict.fromkeys(labels, 0)
-    times_of.update(zip(inside, _isolation_times(cols, inside)))
-    return times_of
-
-
 def isolation_trace(selector: Selector, x_set: Iterable[Label]) -> IsolationTrace:
     """All (index, label) isolation events of the selector against x_set."""
-    return IsolationTrace(tuple(_trace_events(_times_of(selector, x_set))))
+    # Labels outside the universe are in no set: they never produce an event.
+    cols = _columns(selector)
+    inside = [x for x in frozenset(x_set) if 0 <= x < len(cols)]
+    return IsolationTrace(tuple(_trace_events(inside, _isolation_times(cols, inside))))
+
+
+def _ordered_count(labels: Sequence[Label], order: Sequence[Label]) -> int:
+    """How many elements of `order` the trace labels isolate in that order:
+    the longest strictly increasing subsequence of their positions in it."""
+    pos_of = {x: d for d, x in enumerate(order)}
+    return lis_length([pos_of[x] for x in labels])
 
 
 def isolates_permutation(selector: Selector, instance: Instance) -> bool:
     """True iff the isolation trace of instance.subset contains instance.order
     as a (not necessarily contiguous) subsequence."""
-    return _in_order(_times_of(selector, instance.subset), instance.order)
+    labels = isolation_trace(selector, instance.subset).labels()
+    return _ordered_count(labels, instance.order) == instance.k
 
 
 def lis_length(positions: Sequence[int]) -> int:
@@ -265,19 +259,7 @@ def lis_length(positions: Sequence[int]) -> int:
 def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[Label, ...]]:
     """Subsets of [0, universe_size) of the requested size(s), as sorted tuples
     in lexicographic order (a prefix sorts before each of its extensions)."""
-    _check_mode(size_mode)
-    if size_mode == "exact":
-        yield from combinations(range(universe_size), k)
-        return
-
-    def extend(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for x in range(start, universe_size):
-            cur = prefix + (x,)
-            yield cur
-            if len(cur) < k:
-                yield from extend(cur, x + 1)
-
-    yield from extend((), 0)
+    return heapq.merge(*(combinations(range(universe_size), s) for s in _sizes(k, size_mode)))
 
 
 def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
@@ -294,11 +276,10 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         raise ValueError("k must be at least 1")
     if k > universe_size:
         raise ValueError(f"k={k} exceeds universe size {universe_size}")
-    _check_mode(size_mode)
+    sizes = _sizes(k, size_mode)
     if target in _Q_TARGETS and q is not None and not 1 <= q <= k:
         raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
     ordered = target in _ORDERED_TARGETS
-    sizes = range(k, k + 1) if size_mode == "exact" else range(1, k + 1)
     instances = sum(comb(universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
     cost = instances * max(length, 1)
     if cost > budget:
@@ -335,21 +316,31 @@ def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
     return OK
 
 
+def _verify_ordered(selector: Selector, k: int, q: int, size_mode: str, budget: int) -> Verdict:
+    """Check that some q elements of every ordering of every target set are
+    isolated in that order (q capped at the set's size in up_to mode).
+
+    A target set with a critical length (a subset DP, 2^|X| |X| steps)
+    isolates every ordering in full and passes for every q.  Only a failing
+    set has its orderings walked, in lexicographic order, so the verdict is
+    the smallest failing instance (X sorted, then the order).
+    """
+    for x_tuple, iso in _isolations(selector, k, "kq_permutation", q, size_mode, budget):
+        if _critical_length(iso) is not None:
+            continue
+        need = min(q, len(x_tuple))
+        labels = [x for _, x in _trace_events(x_tuple, iso)]
+        for order in permutations(x_tuple):
+            if _ordered_count(labels, order) < need:
+                return Verdict(ok=False, x_set=x_tuple, order=order)
+    return OK
+
+
 def verify_permutation_selector(selector: Selector, k: int, size_mode: str = "exact",
                                 budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that every ordering of every target set is isolated in order.
-
-    Each target set is decided at once by its critical length (a subset DP,
-    2^|X| |X| steps); only a failing set has its orderings walked.  Returns
-    the lexicographically smallest failing instance (X sorted, then the
-    order lexicographically).
-    """
-    for x_tuple, iso in _isolations(selector, k, "permutation", None, size_mode, budget):
-        if _critical_length(iso) is None:
-            times_of = dict(zip(x_tuple, iso))
-            order = next(o for o in permutations(x_tuple) if not _in_order(times_of, o))
-            return Verdict(ok=False, x_set=x_tuple, order=order)
-    return OK
+    """Check that every ordering of every target set is isolated in order:
+    the (k, q)-permutation check at q = k."""
+    return _verify_ordered(selector, k, k, size_mode, budget)
 
 
 def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exact",
@@ -368,24 +359,9 @@ def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exa
 def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
                                    size_mode: str = "exact",
                                    budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that some q elements of every ordering are isolated in that order.
-
-    A target set whose every ordering is isolated in full (it has a critical
-    length) passes for every q.  For any other set the trace labels are
-    mapped to their positions in each order; the instance passes when the
-    longest strictly increasing subsequence of those positions reaches q
-    (capped at the instance size in up_to mode).
-    """
-    for x_tuple, iso in _isolations(selector, k, "kq_permutation", q, size_mode, budget):
-        if _critical_length(iso) is not None:
-            continue
-        need = min(q, len(x_tuple))
-        labels = [x for _, x in _trace_events(dict(zip(x_tuple, iso)))]
-        for order in permutations(x_tuple):
-            pos_of = {x: d for d, x in enumerate(order)}
-            if lis_length([pos_of[x] for x in labels]) < need:
-                return Verdict(ok=False, x_set=x_tuple, order=order)
-    return OK
+    """Check that some q elements of every ordering are isolated in that order
+    (q capped at the instance size in up_to mode)."""
+    return _verify_ordered(selector, k, q, size_mode, budget)
 
 
 def check_target(target: str, q: Optional[int]) -> None:

@@ -155,6 +155,30 @@ def test_bound_with_c_override(capsys):
     assert code == 0 and "c_used=0.001" in out
 
 
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_bound_rejects_non_finite_c(capsys, c):
+    code, out, err = run(capsys, "bound", "-k", "4", "-N", "16", "-c", c)
+    assert (code, out, err) == (2, "", f"error: c must be finite, got c={c}\n")
+
+
+# beta**c underflows to 0 at k=2 for c above ~11,900: the bound stays finite
+# there, and the output below that is the one the plain log2 gave.
+@pytest.mark.parametrize("c,last_line", [
+    ("11000", "c_used=11000.0 log2_eq3=-7901.972293082697 log2_eq4=-7795.420997662901"),
+    ("20000", "c_used=20000.0 log2_eq3=-14392.37498413053 log2_eq4=-14280.648709853234"),
+], ids=["11000", "20000"])
+def test_bound_with_c_around_beta_underflow(capsys, c, last_line):
+    code, out, err = run(capsys, "bound", "-k", "2", "-N", "16", "-c", c)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line + " existence_certified=true"
+
+
+def test_bound_rejects_c_whose_m_overflows(capsys):
+    code, out, err = run(capsys, "bound", "-k", "4", "-N", "16", "-c", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: c=1e+308 is too large") and "nan" not in err
+
+
 def test_minsize_ground_truth(capsys):
     code, out, _ = run(capsys, "minsize", "-k", "2", "-N", "2", "--target", "permutation",
                        "--mode", "exact", "--trials", "200", "--seed", "0")
@@ -239,6 +263,22 @@ def test_simulate_rejects_repeated_out_label(tmp_path, capsys):
 def test_simulate_rejects_nonpositive_broadcast_rounds(capsys, rounds):
     code, out, err = run(capsys, "simulate", "--random", "6", "0.3", "1", "--auto",
                          "--broadcast-rounds", rounds)
+    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
+
+
+def test_simulate_rejects_broadcast_rounds_on_one_node_network(tmp_path, capsys):
+    # One node needs no kappa formula, but a given B is still checked.
+    net_file = tmp_path / "one.net"
+    net_file.write_text("1\n0:\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--network", str(net_file), "--auto",
+                         "--broadcast-rounds", "-1")
+    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
+
+
+def test_simulate_rejects_broadcast_rounds_beside_kappa(capsys):
+    # --kappa makes B unused, but a given B is still checked.
+    code, out, err = run(capsys, "simulate", "--random", "6", "0.5", "0", "--auto",
+                         "--kappa", "2", "--broadcast-rounds", "0")
     assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
 
 

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsel import selectors
+from permsel.build import random_selector
 from permsel.errors import BudgetExceededError
 from permsel.selectors import (
+    OK,
     VERIFY_TARGETS,
     Instance,
     Selector,
+    Verdict,
     isolates,
     isolates_permutation,
     isolation_trace,
@@ -284,6 +287,74 @@ def test_permutation_ok_implies_strong_ok():
 def test_iter_subsets_order_and_sizes():
     assert list(iter_subsets(3, 2, "up_to")) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
     assert list(iter_subsets(3, 2, "exact")) == [(0, 1), (0, 2), (1, 2)]
+
+
+def recursive_subsets(universe_size, k, size_mode):
+    """The depth-first enumeration `iter_subsets` used before it merged one
+    `combinations` stream per size."""
+    if size_mode == "exact":
+        yield from combinations(range(universe_size), k)
+        return
+
+    def extend(prefix, start):
+        for x in range(start, universe_size):
+            cur = prefix + (x,)
+            yield cur
+            if len(cur) < k:
+                yield from extend(cur, x + 1)
+
+    yield from extend((), 0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "up_to"])
+def test_iter_subsets_matches_recursive_enumeration(mode):
+    for n in range(9):
+        for k in range(1, 6):
+            assert list(iter_subsets(n, k, mode)) == list(recursive_subsets(n, k, mode)), (n, k)
+
+
+def test_iter_subsets_is_lazy():
+    # C(10**6, 3) subsets: only a lazy enumeration returns the first at once.
+    assert next(iter_subsets(10**6, 3, "up_to")) == (0,)
+
+
+def test_iter_subsets_k_zero():
+    # No verifier reaches k = 0 (`_charge` refuses it first).  up_to ranges
+    # over sizes 1..0, which is none; the recursive enumeration yielded singletons.
+    assert list(iter_subsets(3, 0, "exact")) == [()]
+    assert list(iter_subsets(3, 0, "up_to")) == []
+
+
+def test_iter_subsets_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="size_mode"):
+        iter_subsets(3, 2, "some")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a public verifier called another")
+
+
+# Verdicts of random_selector(3, 6, 24, seed) at k = 3 (q = 2 for
+# kq_permutation), as the two ordered verifiers gave them with separate loops.
+ORDERED_PINS = [
+    (1, "up_to", Verdict(False, (0, 2, 5), order=(0, 2, 5)), Verdict(False, (2, 5), order=(2, 5))),
+    (1, "exact", Verdict(False, (0, 2, 5), order=(0, 2, 5)), OK),
+    (2, "exact", Verdict(False, (0, 1, 4), order=(4, 1, 0)), OK),
+]
+
+
+@pytest.mark.parametrize("seed,mode,perm,kq_perm", ORDERED_PINS)
+def test_ordered_verifiers_do_not_call_each_other(monkeypatch, seed, mode, perm, kq_perm):
+    # A per-call tracer wraps every public verifier: a nested call would count twice.
+    s = random_selector(3, 6, 24, seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(selectors, "verify_kq_permutation_selector", _refuse)
+        assert verify_permutation_selector(s, 3, mode) == perm
+        assert verify(s, 3, "permutation", size_mode=mode) == perm
+    with monkeypatch.context() as mp:
+        mp.setattr(selectors, "verify_permutation_selector", _refuse)
+        assert verify_kq_permutation_selector(s, 3, 2, mode) == kq_perm
+        assert verify(s, 3, "kq_permutation", 2, mode) == kq_perm
 
 
 # ---------------------------------------------------------------------------
