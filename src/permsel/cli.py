@@ -70,12 +70,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
 
-def _exact_and_bound(ell: int, k: int, q: Optional[int]) -> tuple[Fraction, Optional[float]]:
-    """The exact miss probability (plain when q is None, else jump) and its
-    bound, or None for the bound when ell is shorter than the pattern."""
-    if q is None:
-        return coupon.p_exact(ell, k), coupon.p_bound(ell, k) if ell >= k else None
-    return coupon.p_jump_exact(ell, k, q), coupon.p_jump_bound(ell, k, q) if ell >= q else None
+def _bound(ell: int, k: int, blocks: int) -> Optional[float]:
+    """The bound on the miss probability of the pattern of `blocks` blocks
+    (k for the plain one), or None when ell is shorter than the pattern."""
+    return coupon.p_jump_bound(ell, k, blocks) if ell >= blocks else None
 
 
 def _ratio(bound: float, exact: Fraction) -> float:
@@ -95,7 +93,9 @@ def cmd_prob(args) -> int:
     # Every line is built before any is printed: a huge numerator exceeds
     # Python's int-to-str digit limit with a ValueError, and that must not
     # leave partial output behind.
-    exact, bound = _exact_and_bound(args.ell, args.k, args.q)
+    blocks = args.k if args.q is None else args.q
+    exact = coupon.p_jump_exact(args.ell, args.k, blocks)
+    bound = _bound(args.ell, args.k, blocks)
     parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
     if bound is not None:
         ratio = _ratio(bound, exact)
@@ -176,10 +176,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    blocks = args.k if args.q is None else args.q
+    # p_jump_sweep checks every input before it computes a row.
+    exacts = coupon.p_jump_sweep(args.k, blocks, args.ell_min, args.ell_max)
+    q_col = "" if args.q is None else str(args.q)
     lines = ["ell,k,q,exact_num,exact_den,bound"]
-    for ell in range(args.ell_min, args.ell_max + 1):
-        exact, bound = _exact_and_bound(ell, args.k, args.q)
-        q_col = "" if args.q is None else str(args.q)
+    for ell, exact in zip(range(args.ell_min, args.ell_max + 1), exacts):
+        bound = _bound(ell, args.k, blocks)
         b_col = "" if bound is None else repr(bound)
         lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
     text = "\n".join(lines) + "\n"

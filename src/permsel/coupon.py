@@ -8,7 +8,20 @@ block order.  Every closed form is paired with an enumeration oracle and a
 floating-point upper bound, plus Monte-Carlo estimators.
 
 All exact values are `fractions.Fraction`s computed in integer arithmetic;
-floats appear only in the bounds and estimators.  Note the bound base
+floats appear only in the bounds and estimators.
+
+`p_jump_sweep` yields the exact values over a range of ell by a one-term
+recurrence instead of the q-term closed form.  With b = k/q, let T(ell)
+count the words that miss the pattern (so p = T / k^ell) and
+a(ell) = C(ell, q-1) b^(q-1) (k-b)^(ell-q+1) the words at the last greedy
+stage, q-1.  Appending a letter keeps every missing word missing except a
+last-stage word followed by one of the b letters of the last block, so
+
+    T(ell+1) = k T(ell) - b a(ell),
+    a(ell+1) = a(ell) (k-b) (ell+1) / (ell+2-q)    (an exact division),
+
+and a row costs O(1) big-integer operations.  The plain pattern is q = k;
+q = 1 has k - b = 0, so a and T vanish.  Note the bound base
 exp(-1/q) of the jump chain is unrelated to the isolation probability
 gamma of `permsel.build` despite the notational similarity.
 """
@@ -16,10 +29,11 @@ gamma of `permsel.build` despite the notational similarity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -28,6 +42,11 @@ from .errors import BudgetExceededError
 
 # Ceiling on k**ell for the enumeration oracles.
 DEFAULT_ENUM_BUDGET = 2**24
+
+# Trials per Monte-Carlo chunk: the draws of one chunk take
+# MC_CHUNK * ell * 8 bytes.  Rows drawn chunk by chunk from one generator
+# are the rows of one big draw, so estimates do not depend on it.
+MC_CHUNK = 4096
 
 
 def _validate_ell_k(ell: int, k: int) -> None:
@@ -56,16 +75,54 @@ def p_jump_exact(ell: int, k: int, q: int) -> Fraction:
     Requires q to divide k; the uneven-block case has no exact closed form
     here and is served by `p_monte_carlo` only.
     """
+    _validate_jump(ell, k, q)
+    return Fraction(_missing_words(ell, k, q), k**ell)
+
+
+def _validate_jump(ell: int, k: int, q: int) -> None:
     _validate_ell_k(ell, k)
     if not 1 <= q <= k:
         raise ValueError(f"q must be in [1, k], got {q}")
     if k % q != 0:
         raise ValueError(f"q={q} must divide k={k} for the exact formula")
+
+
+def _missing_words(ell: int, k: int, q: int) -> int:
+    """The closed form: words of length ell that miss the q-block pattern."""
     b = k // q
     # Terms with j > ell vanish (comb is 0); skipping them keeps the
     # arithmetic in plain integers.
-    total = sum(comb(ell, j) * b**j * (k - b) ** (ell - j) for j in range(min(q, ell + 1)))
-    return Fraction(total, k**ell)
+    return sum(comb(ell, j) * b**j * (k - b) ** (ell - j) for j in range(min(q, ell + 1)))
+
+
+def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
+    """p_jump_exact(ell, k, q) for ell = ell_min..ell_max, in order, by the
+    recurrence in the module docstring (q = k gives p_exact).
+
+    The inputs are checked here, before the first value is computed, and
+    an empty range is an error.
+    """
+    _validate_jump(ell_min, k, q)
+    if ell_max < ell_min:
+        raise ValueError(f"ell_max must be at least ell_min, got ell_min={ell_min}, "
+                         f"ell_max={ell_max}")
+    return _sweep(k, q, ell_min, ell_max)
+
+
+def _sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
+    b, rest = k // q, k - k // q
+    missing, words = _missing_words(ell_min, k, q), k**ell_min
+    # Words at the last greedy stage, q - 1; there are none while ell < q - 1.
+    last = 0
+    if ell_min >= q - 1:
+        last = comb(ell_min, q - 1) * b ** (q - 1) * rest ** (ell_min - q + 1)
+    for ell in range(ell_min, ell_max + 1):
+        yield Fraction(missing, words)
+        missing, words = k * missing - b * last, words * k
+        if ell + 1 == q - 1:
+            last = b ** (q - 1)
+        elif ell + 1 > q - 1:
+            last = last * rest * (ell + 1) // (ell + 2 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +211,31 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
                   seed: int = 0) -> tuple[float, float]:
     """Frequency estimate of p_exact (q=None) or p_jump_exact, with its
     binomial standard error.  Unlike the exact forms, any q <= k is allowed;
-    uneven blocks follow `jump_blocks`."""
+    uneven blocks follow `jump_blocks`.
+
+    Trials are drawn and scanned MC_CHUNK at a time, so memory is
+    O(MC_CHUNK * ell) whatever the number of trials.
+    """
     _validate_ell_k(ell, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     goal = k if q is None else q
-    target_of_symbol = np.empty(k, dtype=np.int64)
+    # Stages never exceed goal, so the smallest type that holds it will do.
+    stage_type = np.min_scalar_type(goal)
+    block_of = np.empty(k, dtype=stage_type)
     for h, block in enumerate(jump_blocks(k, goal)):
-        target_of_symbol[list(block)] = h
+        block_of[list(block)] = h
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    seqs = rng.integers(0, k, size=(trials, ell))
-    state = np.zeros(trials, dtype=np.int64)
-    for j in range(ell):
-        state += target_of_symbol[seqs[:, j]] == state
-    misses = int(np.count_nonzero(state < goal))
+    misses = 0
+    for start in range(0, trials, MC_CHUNK):
+        rows = min(MC_CHUNK, trials - start)
+        # `take` returns a C-ordered array: row j holds the block of letter
+        # j of every trial of the chunk, contiguous.
+        blocks = block_of.take(rng.integers(0, k, size=(rows, ell)).T)
+        state = np.zeros(rows, dtype=stage_type)
+        for letter_blocks in blocks:
+            state += letter_blocks == state
+        misses += int(np.count_nonzero(state < goal))
     estimate = misses / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, std_error
@@ -256,9 +324,13 @@ def union_bound_value(k: int, universe_size: int, c: float) -> UnionBoundReport:
     if math.isinf(m):
         raise ValueError(f"c={c!r} is too large: m = c*k^2*log2(N) overflows a float")
     log2_per_instance = (m / k) * math.log2(beta) + k * math.log2(m / k)
-    # beta**c underflows to 0 for large c; only then split the log2 of the product.
+    # Below the smallest normal float c * beta**c has lost digits (or is 0);
+    # only there split the log2 of the product.
     product = c * beta**c
-    log2_product = math.log2(product) if product > 0 else math.log2(c) + c * math.log2(beta)
+    if product >= sys.float_info.min:
+        log2_product = math.log2(product)
+    else:
+        log2_product = math.log2(c) + c * math.log2(beta)
     log2_value = 4.0 * k * log_n + k * log_n * log2_product
     return UnionBoundReport(
         k=k,

@@ -161,12 +161,15 @@ def test_bound_rejects_non_finite_c(capsys, c):
     assert (code, out, err) == (2, "", f"error: c must be finite, got c={c}\n")
 
 
-# beta**c underflows to 0 at k=2 for c above ~11,900: the bound stays finite
-# there, and the output below that is the one the plain log2 gave.
+# At k=2, c * beta**c is subnormal from c ~ 11,500 and 0 from c ~ 11,900:
+# there the log2 of the product is split, so the bound keeps its digits and
+# stays finite; at c = 11000 it is the plain log2.
 @pytest.mark.parametrize("c,last_line", [
     ("11000", "c_used=11000.0 log2_eq3=-7901.972293082697 log2_eq4=-7795.420997662901"),
+    ("11700", "c_used=11700.0 log2_eq3=-8406.737547381717 log2_eq4=-8299.65222192557"),
+    ("11900", "c_used=11900.0 log2_eq3=-8550.958145383165 log2_eq4=-8443.726101664668"),
     ("20000", "c_used=20000.0 log2_eq3=-14392.37498413053 log2_eq4=-14280.648709853234"),
-], ids=["11000", "20000"])
+], ids=["11000", "11700", "11900", "20000"])
 def test_bound_with_c_around_beta_underflow(capsys, c, last_line):
     code, out, err = run(capsys, "bound", "-k", "2", "-N", "16", "-c", c)
     assert (code, err) == (0, "")
@@ -183,6 +186,25 @@ def test_minsize_ground_truth(capsys):
     code, out, _ = run(capsys, "minsize", "-k", "2", "-N", "2", "--target", "permutation",
                        "--mode", "exact", "--trials", "200", "--seed", "0")
     assert code == 0 and out.strip() == "minimal_m=3"
+
+
+# Every input is checked before any row is computed, so an empty range of
+# bad inputs is refused too, and an empty range is itself an error.
+@pytest.mark.parametrize("argv,message", [
+    (("-k", "1", "--ell-min", "5", "--ell-max", "4"), "k must be at least 2"),
+    (("-k", "7", "-q", "3", "--ell-min", "5", "--ell-max", "4"),
+     "q=3 must divide k=7 for the exact formula"),
+    (("-k", "7", "--ell-min", "0", "--ell-max", "-1"), "ell must be at least 1"),
+    (("-k", "7", "--ell-min", "5", "--ell-max", "4"),
+     "ell_max must be at least ell_min, got ell_min=5, ell_max=4"),
+    (("-k", "7", "-q", "7", "--ell-min", "3", "--ell-max", "2"),
+     "ell_max must be at least ell_min, got ell_min=3, ell_max=2"),
+], ids=["k", "q", "ell-min", "empty", "empty-q"])
+def test_sweep_rejects_bad_or_empty_range(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "sweep", *argv, "-o", str(out_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -3,12 +3,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsel.coupon import (
     DEFAULT_ENUM_BUDGET,
+    MC_CHUNK,
     chernoff_tail,
     chernoff_tail_empirical,
     jump_blocks,
@@ -18,6 +20,7 @@ from permsel.coupon import (
     p_jump_bound,
     p_jump_bruteforce,
     p_jump_exact,
+    p_jump_sweep,
     p_monte_carlo,
     union_bound_value,
 )
@@ -123,6 +126,53 @@ def test_p_exact_monotone_decreasing_in_ell(k, ell):
     assert p_exact(ell + 1, k) <= p_exact(ell, k)
 
 
+# ---------------------------------------------------------------------------
+# the recurrence sweep against the closed form and the enumeration
+# ---------------------------------------------------------------------------
+
+def divisors(k):
+    return [q for q in range(1, k + 1) if k % q == 0]
+
+
+def test_sweep_matches_closed_form_grid():
+    # Every divisor q of every k <= 30, q = 1 and q = k included; the
+    # windows start before, at and past the last greedy stage q - 1.
+    for k in range(2, 31):
+        for q in divisors(k):
+            for lo, hi in ((1, q + 12), (max(1, q - 2), q + 3), (q + 1, q + 1), (57, 75)):
+                assert list(p_jump_sweep(k, q, lo, hi)) == \
+                    [p_jump_exact(ell, k, q) for ell in range(lo, hi + 1)], (k, q, lo, hi)
+
+
+def test_sweep_matches_bruteforce_grid():
+    for k in (2, 3, 4, 6):
+        longest = int(math.log(2**16, k))
+        for q in divisors(k):
+            for lo in (1, 2, 3):
+                assert list(p_jump_sweep(k, q, lo, longest)) == \
+                    [p_jump_bruteforce(ell, k, q) for ell in range(lo, longest + 1)]
+
+
+@given(st.integers(2, 60), st.data(), st.integers(1, 300), st.integers(0, 40))
+@settings(max_examples=120, deadline=None)
+def test_sweep_matches_closed_form(k, data, ell_min, length):
+    q = data.draw(st.sampled_from(divisors(k)))
+    values = list(p_jump_sweep(k, q, ell_min, ell_min + length))
+    assert values == [p_jump_exact(ell, k, q) for ell in range(ell_min, ell_min + length + 1)]
+
+
+def test_sweep_plain_is_q_equal_k():
+    assert list(p_jump_sweep(5, 5, 1, 30)) == [p_exact(ell, 5) for ell in range(1, 31)]
+
+
+@pytest.mark.parametrize("args", [(1, 1, 5, 4), (7, 3, 5, 4), (7, 1, 0, -1), (7, 1, 5, 4),
+                                  (4, 0, 1, 3), (4, 8, 1, 3)])
+def test_sweep_checks_inputs_at_the_call(args):
+    # The check must not wait for the first value: these are not iterated.
+    with pytest.raises(ValueError):
+        p_jump_sweep(*args)
+
+
 def test_bruteforce_budget_refusal():
     with pytest.raises(BudgetExceededError):
         p_bruteforce(25, 2)
@@ -185,6 +235,45 @@ def test_monte_carlo_plain_draws_are_pinned():
     # estimates must not change with that.
     assert p_monte_carlo(6, 3, trials=2000, seed=4) == (0.6735, 0.010485650909695592)
     assert p_monte_carlo(9, 4, trials=500, seed=1) == (0.858, 0.01560999679692472)
+
+
+def one_draw_monte_carlo(ell, k, q, trials, seed):
+    """The estimate from one (trials, ell) draw scanned column by column:
+    the oracle for the chunked sampler."""
+    goal = k if q is None else q
+    target_of_symbol = np.empty(k, dtype=np.int64)
+    for h, block in enumerate(jump_blocks(k, goal)):
+        target_of_symbol[list(block)] = h
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    seqs = rng.integers(0, k, size=(trials, ell))
+    state = np.zeros(trials, dtype=np.int64)
+    for j in range(ell):
+        state += target_of_symbol[seqs[:, j]] == state
+    estimate = int(np.count_nonzero(state < goal)) / trials
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+
+
+@pytest.mark.parametrize("ell,k,q,trials,seed", [
+    (9, 4, None, 2 * MC_CHUNK + 7, 1),     # plain, odd ell, three chunks, last one short
+    (12, 6, 3, MC_CHUNK, 2),               # exactly one chunk
+    (15, 7, 3, MC_CHUNK + 1, 3),           # uneven blocks, a one-trial last chunk
+    (16, 10, 4, 3 * MC_CHUNK - 5, 4),      # uneven blocks
+    (5, 300, 300, MC_CHUNK + 99, 5),       # more blocks than a byte holds
+    (1, 2, 1, 10, 6),                      # q = 1 misses nothing
+])
+def test_monte_carlo_matches_one_draw(ell, k, q, trials, seed):
+    assert p_monte_carlo(ell, k, q, trials, seed) == one_draw_monte_carlo(ell, k, q, trials, seed)
+
+
+# Captured before trials were drawn in chunks.
+@pytest.mark.parametrize("args,trials,seed,expected", [
+    ((13, 5, None), 50_000, 2, (0.89878, 0.0013488848105008818)),
+    ((49, 30, 6), 50_000, 3, (0.15104, 0.0016014176119925746)),
+    ((25, 7, 3), 50_001, 1, (0.0060998780024399514, 0.0003482110922940424)),
+    ((143, 144, 12), 50_000, 11, (0.46986, 0.002232001704300425)),
+])
+def test_monte_carlo_large_draws_are_pinned(args, trials, seed, expected):
+    assert p_monte_carlo(*args, trials=trials, seed=seed) == expected
 
 
 def test_monte_carlo_jump():

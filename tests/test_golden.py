@@ -140,6 +140,36 @@ def test_golden_sweep_jump_csv(tmp_path, capsys):
     assert sha256(out_file) == "fdc3626511ec922363245b451d06ca9fd3256e3d125e1a2f0eeefe5db903041e"
 
 
+# sha256 of sweep stdout, captured from the closed form before sweeps ran on
+# the recurrence: large k (numerators of ~950 and ~2900 digits), q = 1
+# (every row 0), q = k (the plain values under a q column) and a window that
+# starts far past q.
+SWEEP_STDOUT_GOLDEN = {
+    ("-k", 239, "--ell-min", 1, "--ell-max", 400):
+        "3667f3807df7727244131ec57acd514ba049f7453d638e420c6c29dc439fa9fa",
+    ("-k", 239, "--ell-min", 1201, "--ell-max", 1210):
+        "e40ec4a3d023ab6bdb8464fe957eca0058cac6f91d0aa0b6ccd3f902116f6a8c",
+    ("-k", 239, "-q", 1, "--ell-min", 1, "--ell-max", 400):
+        "b91d012aedd1f5478cddff28c52f34097737cea7f97ff6d185c0272de3e99809",
+    ("-k", 239, "-q", 239, "--ell-min", 1, "--ell-max", 400):
+        "da927218cb2a7ebf25cf7a4f1cd0a598f5b3b421ddd54a9cae0ca149d531e071",
+    ("-k", 240, "-q", 12, "--ell-min", 395, "--ell-max", 420):
+        "8dd09fefeb1399b629f41f9de7a7dfca043ad27e6717e4d9a9d5f46bcfc6ef5b",
+    ("-k", 12, "-q", 1, "--ell-min", 1, "--ell-max", 30):
+        "d4970705dfa82c2a9abbefbae5e6b57d97e3db318626c07c1b9d8995a362a915",
+    ("-k", 12, "-q", 12, "--ell-min", 1, "--ell-max", 30):
+        "4aa39bffcf5a066828f3cc4170f2da69570cf7c9e84c33d6c35ff658064e2cff",
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_STDOUT_GOLDEN),
+                         ids=[" ".join(map(str, a)) for a in SWEEP_STDOUT_GOLDEN])
+def test_golden_sweep_stdout(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_STDOUT_GOLDEN[argv]
+
+
 def test_golden_simulate_large_random_trace(tmp_path, capsys):
     # 3000 nodes: 68,140 transmission rounds, every Disperse broadcast
     # carrying rumor sets of up to 3000 rumors.
