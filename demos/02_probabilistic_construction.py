@@ -53,6 +53,7 @@ print()
 print("The theoretical m is very conservative at desk scale; the")
 print("empirical minimal length is far smaller:")
 for k, n in ((2, 8), (2, 16), (3, 8)):
-    cfg = BuildConfig(seed=0, target="permutation", size_mode="up_to")
-    m_star = minimal_m_search(k, n, cfg, trials_per_m=20, max_m=200)
+    cfg = BuildConfig(seed=0, target="permutation", size_mode="up_to", max_attempts=20,
+                      m_override=200)
+    m_star = minimal_m_search(k, n, cfg)
     print(f"  k={k} N={n}: minimal m = {m_star:>3}   formula m = {derive_size_params(k, n).m}")

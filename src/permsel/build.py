@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AttemptsExhaustedError, BudgetExceededError
-from .selectors import DEFAULT_BUDGET, Selector, _charge, check_target, verify
+from .selectors import DEFAULT_BUDGET, _Q_TARGETS, Selector, _charge, check_target, verify
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
@@ -58,7 +58,7 @@ def smallest_c(beta: float) -> float:
 @dataclass(frozen=True)
 class SizeParams:
     """Derived constants and the resulting selector length for a (k, N) or
-    (k, q, N) target.  `clamped` records whether m was raised to 2k."""
+    (k, q, N) target."""
 
     k: int
     universe_size: int
@@ -69,7 +69,6 @@ class SizeParams:
     beta: float
     c: float
     m: int
-    clamped: bool = False
 
     def report(self) -> str:
         return (
@@ -82,8 +81,8 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     """Compute gamma, delta, alpha, beta, the grid constant c, and
     m = ceil(c * k^2 * log2 N), or ceil(c * k * q * log2 N) when q is given.
 
-    m is clamped to at least 2k (recorded in `clamped`).  Logarithms are
-    base 2 throughout.
+    Logarithms are base 2 throughout.  tail_beta(k) >= e^{-1/4} makes
+    c >= 24, so m >= 24k.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -99,12 +98,8 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     beta = tail_beta(k)
     c = smallest_c(beta)
     log_n = math.log2(universe_size)
-    raw = c * k * (q if q is not None else k) * log_n
-    m = math.ceil(raw)
-    clamped = m < 2 * k
-    if clamped:
-        m = 2 * k
-    return SizeParams(k, universe_size, q, gamma, delta, alpha, beta, c, m, clamped)
+    m = math.ceil(c * k * (q if q is not None else k) * log_n)
+    return SizeParams(k, universe_size, q, gamma, delta, alpha, beta, c, m)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +134,10 @@ def random_selector(k: int, universe_size: int, m: int, seed: int) -> Selector:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs for the generate-and-verify loop."""
+    """Settings of `build_verified` and `minimal_m_search`: both try
+    max_attempts seeded draws per length, at m_override (the search's cap)
+    or else the derived length.  q is kept only for kq and kq_permutation;
+    the other targets take none, so it is set to None and never resizes them."""
 
     seed: int = 0
     max_attempts: int = 50
@@ -155,6 +153,8 @@ class BuildConfig:
         if self.m_override is not None and self.m_override < 0:
             raise ValueError("m_override must be non-negative")
         check_target(self.target, self.q)
+        if self.target not in _Q_TARGETS:
+            object.__setattr__(self, "q", None)
 
 
 def _default_m(k: int, universe_size: int, config: BuildConfig) -> int:
@@ -192,33 +192,30 @@ def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Sel
     )
 
 
-def minimal_m_search(k: int, universe_size: int, config: BuildConfig,
-                     trials_per_m: int, max_m: Optional[int] = None) -> int:
-    """Smallest m in [1, max_m] at which one of trials_per_m seeded draws
-    verifies; max_m defaults to the configured length (m_override, else the
-    derived size).
+def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
+    """Smallest m at which `build_verified` succeeds with this config and
+    m_override=m: the smallest m in [1, cap] at which one of the
+    config.max_attempts seeded draws verifies, where the cap is the length
+    `build_verified` would use (m_override, else the derived size).
 
     Trial j draws with the child seed substream_seed(seed, j) at every
-    length, and random_selector gives each set its own sub-stream, so the
-    length-m draw of a trial is a prefix of its length-(m+1) draw and a
-    trial that verifies at m verifies at every larger m.  The test "some
-    trial verifies at m" is therefore monotone, and a galloping search
-    (m = 1, 2, 4, ... until it holds, then bisection below) finds the same
-    smallest m as trying every length in turn.  A length is probed by
-    drawing and verifying the trials in order up to the first that passes;
-    the trials before it failed at that length, so they cannot pass at any
-    smaller one and are dropped.
+    length, as attempt j+1 of `build_verified` does, and random_selector
+    gives each set its own sub-stream, so the length-m draw of a trial is a
+    prefix of its length-(m+1) draw and a trial that verifies at m verifies
+    at every larger m.  The test "some trial verifies at m" is therefore
+    monotone, and a galloping search (m = 1, 2, 4, ... until it holds, then
+    bisection below) finds the same smallest m as trying every length in
+    turn.  A length is probed by drawing and verifying the trials in order
+    up to the first that passes; the trials before it failed at that
+    length, so they cannot pass at any smaller one and are dropped.
 
     A length over the verifier's budget is refused before anything is
     drawn.  That refusal is monotone in m too, so it ends the search like a
     pass: when the smallest length that does not fail is refused, the
     refusal is raised, as a scan from m = 1 would raise it.
     """
-    if trials_per_m < 1:
-        raise ValueError("trials_per_m must be at least 1")
-    if max_m is None:
-        max_m = _default_m(k, universe_size, config)
-    seeds = [substream_seed(config.seed, j) for j in range(trials_per_m)]
+    cap = _default_m(k, universe_size, config)
+    seeds = [substream_seed(config.seed, j) for j in range(config.max_attempts)]
 
     def stops(m: int) -> bool:
         """Whether length m ends the search: it is over budget, or a trial
@@ -236,11 +233,11 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig,
 
     # Every length <= lo fails; hi is probed next, then is the smallest stop.
     lo, hi = 0, 1
-    while hi <= max_m and not stops(hi):
-        lo, hi = hi, (min(2 * hi, max_m) if hi < max_m else hi + 1)
-    if hi > max_m:
+    while hi <= cap and not stops(hi):
+        lo, hi = hi, (min(2 * hi, cap) if hi < cap else hi + 1)
+    if hi > cap:
         raise AttemptsExhaustedError(
-            f"no verified selector up to m={max_m} with {trials_per_m} trials per length"
+            f"no verified selector up to m={cap} with {config.max_attempts} trials per length"
         )
     while hi - lo > 1:
         mid = (lo + hi) // 2

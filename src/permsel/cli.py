@@ -51,7 +51,7 @@ def cmd_gen(args) -> int:
     if args.k < 1 or args.k > args.N:
         raise ValueError(f"need 1 <= k <= N, got k={args.k}, N={args.N}")
     if args.k >= 2:
-        params = build.derive_size_params(args.k, args.N, args.q)
+        params = build.derive_size_params(args.k, args.N, config.q)
         print(params.report())
     selector, attempts = build.build_verified(args.k, args.N, config)
     selectors.save_selector(args.out, selector, args.k)
@@ -125,13 +125,14 @@ def cmd_bound(args) -> int:
 def cmd_minsize(args) -> int:
     config = build.BuildConfig(
         seed=args.seed,
+        max_attempts=args.trials,
         m_override=args.max_m,
         size_mode=args.mode,
         target=args.target,
         q=args.q,
         budget=_budget(),
     )
-    m = build.minimal_m_search(args.k, args.N, config, args.trials)
+    m = build.minimal_m_search(args.k, args.N, config)
     print(f"minimal_m={m}")
     return EXIT_OK
 
@@ -246,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
     p.add_argument("--mode", choices=selectors.SIZE_MODES, default="exact")
     p.add_argument("-q", type=int, default=None)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=50, help="draws tried per length: gen's --attempts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-m", type=int, default=None)
+    p.add_argument("--max-m", type=int, default=None, help="largest length tried: gen's -m")
     p.set_defaults(func=cmd_minsize)
 
     p = sub.add_parser("simulate", help="run full gossip on a network and write the trace")

@@ -44,8 +44,9 @@ from .errors import BudgetExceededError
 DEFAULT_ENUM_BUDGET = 2**24
 
 # Trials per Monte-Carlo chunk: the draws of one chunk take
-# MC_CHUNK * ell * 8 bytes.  Rows drawn chunk by chunk from one generator
-# are the rows of one big draw, so estimates do not depend on it.
+# MC_CHUNK * ell * 8 bytes (MC_CHUNK * m * k * 8 in the tail estimate).
+# Rows drawn chunk by chunk from one generator are the rows of one big
+# draw, so estimates do not depend on it.
 MC_CHUNK = 4096
 
 
@@ -151,11 +152,7 @@ def p_bruteforce(ell: int, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fractio
 
 def p_jump_bruteforce(ell: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
     """p_jump_exact by enumeration; symbol s belongs to block s // (k/q)."""
-    _validate_ell_k(ell, k)
-    if not 1 <= q <= k:
-        raise ValueError(f"q must be in [1, k], got {q}")
-    if k % q != 0:
-        raise ValueError(f"q={q} must divide k={k}")
+    _validate_jump(ell, k, q)
     block_of = np.arange(k, dtype=np.int64) // (k // q)
     return Fraction(_count_missing(ell, k, block_of, q, budget), k**ell)
 
@@ -253,13 +250,13 @@ def chernoff_tail(m: int, k: int) -> float:
     return chernoff_alpha(k) ** m
 
 
-def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0,
-                            chunk: int = 10_000) -> tuple[float, float]:
+def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple[float, float]:
     """Empirical frequency of the tail event h <= floor(m/4) under the random
     construction, with its binomial standard error.
 
     Isolation of X = {0..k-1} depends only on the k membership draws inside
     X, so only those columns are simulated; the universe size is irrelevant.
+    Trials are drawn MC_CHUNK at a time, as in `p_monte_carlo`.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -270,13 +267,10 @@ def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     threshold = m // 4
     hits = 0
-    remaining = trials
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        draws = rng.random((batch, m, k)) < 1.0 / k
+    for start in range(0, trials, MC_CHUNK):
+        draws = rng.random((min(MC_CHUNK, trials - start), m, k)) < 1.0 / k
         h = (draws.sum(axis=2) == 1).sum(axis=1)
         hits += int(np.count_nonzero(h <= threshold))
-        remaining -= batch
     freq = hits / trials
     return freq, math.sqrt(freq * (1.0 - freq) / trials)
 

@@ -283,10 +283,9 @@ def audit_trace(network: Network, state: SimState) -> bool:
 # broadcast
 # ---------------------------------------------------------------------------
 
-def broadcast(network: Network, state: SimState, source: int,
-              phase: str = "disperse") -> int:
+def broadcast(network: Network, state: SimState, source: int) -> int:
     """Deliver the source's current rumor set to every node; returns the
-    number of rounds used.
+    number of rounds used.  Its rounds are recorded in the disperse phase.
 
     Deterministic round robin: repeat the singleton schedule {0},{1},...,
     {n-1}, each node transmitting in its slot once it holds the payload.
@@ -307,7 +306,7 @@ def broadcast(network: Network, state: SimState, source: int,
         for slot in range(network.n):
             if not missing:
                 return rounds
-            step(network, state, {slot} if holds[slot] else (), phase=phase)
+            step(network, state, {slot} if holds[slot] else (), phase="disperse")
             rounds += 1
             if holds[slot]:
                 for w in network.out_edges[slot]:
@@ -319,10 +318,10 @@ def broadcast(network: Network, state: SimState, source: int,
     return rounds
 
 
-def measure_broadcast_rounds(network: Network, source: int = 0) -> int:
-    """Rounds a broadcast from source takes on a fresh state; a practical stand-in
+def measure_broadcast_rounds(network: Network) -> int:
+    """Rounds a broadcast from node 0 takes on a fresh state; a practical stand-in
     for the broadcast-time parameter of `choose_kappa`."""
-    return broadcast(network, SimState(network), source)
+    return broadcast(network, SimState(network), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def disperse(network: Network, state: SimState, mu: int) -> int:
             break
         source = counts.index(best)  # lowest label among the maxima
         payload = state.rumors_held[source]
-        rounds = broadcast(network, state, source, "disperse")
+        rounds = broadcast(network, state, source)
         state.charge("disperse", rounds * log_factor)  # selection surcharge
         state.active &= ~payload
         selections += 1
@@ -440,7 +439,7 @@ def gossip(network: Network, kappa: int,
 
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:
-    """ceil((n * broadcast_rounds / log2 n)^(1/3)), clamped to [1, n]."""
+    """ceil((n * broadcast_rounds / log2 n)^(1/3)), kept within [1, n]."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if broadcast_rounds < 1:
@@ -453,8 +452,10 @@ def choose_kappa(n: int, broadcast_rounds: int) -> int:
 # active-path diagnostics
 # ---------------------------------------------------------------------------
 
-def active_path_ell(network: Network, state: SimState, kappa: int,
-                    budget: int = 1_000_000) -> int:
+ACTIVE_PATH_BUDGET = 1_000_000  # DFS expansions allowed per active_path_ell call
+
+
+def active_path_ell(network: Network, state: SimState, kappa: int) -> int:
     """Largest L such that every directed path of L active nodes has an
     active in-neighborhood (active nodes with edges into the path) smaller
     than kappa; returns n when no active path of any length violates this.
@@ -479,8 +480,8 @@ def active_path_ell(network: Network, state: SimState, kappa: int,
             if w in path:
                 continue
             expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(f"active-path enumeration exceeded {budget} expansions")
+            if expansions > ACTIVE_PATH_BUDGET:
+                raise BudgetExceededError(f"active-path enumeration exceeded {ACTIVE_PATH_BUDGET} expansions")
             if best is not None and length + 1 >= best:
                 return
             new_nbhd = nbhd | act_in[w]
@@ -493,8 +494,8 @@ def active_path_ell(network: Network, state: SimState, kappa: int,
 
     for v in active:
         expansions += 1
-        if expansions > budget:
-            raise BudgetExceededError(f"active-path enumeration exceeded {budget} expansions")
+        if expansions > ACTIVE_PATH_BUDGET:
+            raise BudgetExceededError(f"active-path enumeration exceeded {ACTIVE_PATH_BUDGET} expansions")
         nbhd = act_in[v]
         if len(nbhd) >= kappa:
             return 0

@@ -119,8 +119,9 @@ def test_criterion_04_las_vegas_construction():
              for target in ("strong", "permutation")]
     cases += [(4, 16, "kq_permutation", 2), (3, 16, "kq_permutation", 1)]
     for k, n, target, q in cases:
-        search_cfg = BuildConfig(seed=0, target=target, size_mode="up_to", q=q)
-        m_star = minimal_m_search(k, n, search_cfg, trials_per_m=20, max_m=200)
+        search_cfg = BuildConfig(seed=0, target=target, size_mode="up_to", q=q,
+                                 max_attempts=20, m_override=200)
+        m_star = minimal_m_search(k, n, search_cfg)
         m_target = math.ceil(m_star * 1.25)
         build_cfg = BuildConfig(seed=0, target=target, size_mode="up_to", q=q,
                                 m_override=m_target, max_attempts=50)
@@ -140,10 +141,10 @@ def test_criterion_05_minimal_size_ground_truths():
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     for sets in product(subsets, repeat=2):
         assert not verify_permutation_selector(Selector(2, sets), 2, "exact").ok
-    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact")
-    assert minimal_m_search(2, 2, cfg, trials_per_m=200) == 3
-    cfg1 = BuildConfig(seed=0, target="strong", size_mode="exact")
-    assert minimal_m_search(1, 2, cfg1, trials_per_m=5) == 1
+    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=200)
+    assert minimal_m_search(2, 2, cfg) == 3
+    cfg1 = BuildConfig(seed=0, target="strong", size_mode="exact", max_attempts=5)
+    assert minimal_m_search(1, 2, cfg1) == 1
     _report(5, "minimal sizes: (2,2)-permutation = 3, k=1 strong = 1")
 
 
@@ -154,8 +155,8 @@ def test_criterion_05_minimal_size_ground_truths():
 def test_criterion_06_size_formula_consistency():
     for k in (2, 3):
         for n in (4, 8, 16, 32):
-            cfg = BuildConfig(seed=0, target="permutation", size_mode="exact")
-            m_star = minimal_m_search(k, n, cfg, trials_per_m=5)
+            cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=5)
+            m_star = minimal_m_search(k, n, cfg)
             params = derive_size_params(k, n)
             assert m_star <= params.m
             assert union_bound_value(k, n, params.c).existence_certified

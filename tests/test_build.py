@@ -168,24 +168,38 @@ def test_build_config_validation():
         BuildConfig(target="nonsense")
 
 
+def test_build_config_keeps_q_only_for_targets_that_take_one():
+    for target in ("strong", "permutation"):
+        assert BuildConfig(target=target, q=1) == BuildConfig(target=target)
+    for target in ("kq", "kq_permutation"):
+        assert BuildConfig(target=target, q=1).q == 1
+
+
+def test_smallest_c_is_at_least_24():
+    # tail_beta(k) >= e^{-1/4}, and c = 24 is the first grid point with
+    # c * e^{-c/4} < 1/16, so every derived m is at least 24k.
+    for k in range(2, 401):
+        assert smallest_c(tail_beta(k)) >= 24
+
+
 # ---------------------------------------------------------------------------
 # minimal_m_search
 # ---------------------------------------------------------------------------
 
 def test_minimal_m_22_permutation_exact_is_3():
-    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact")
-    assert minimal_m_search(2, 2, cfg, trials_per_m=200) == 3
+    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=200)
+    assert minimal_m_search(2, 2, cfg) == 3
 
 
 def test_minimal_m_k1_strong_is_1():
-    cfg = BuildConfig(seed=0, target="strong", size_mode="exact")
-    assert minimal_m_search(1, 4, cfg, trials_per_m=5) == 1
+    cfg = BuildConfig(seed=0, target="strong", size_mode="exact", max_attempts=5)
+    assert minimal_m_search(1, 4, cfg) == 1
 
 
 def test_minimal_m_passing_trial_is_monotone_in_m():
     # The same trial seed keeps passing as sets are appended.
-    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact")
-    m_star = minimal_m_search(2, 3, cfg, trials_per_m=50)
+    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=50)
+    m_star = minimal_m_search(2, 3, cfg)
     seeds = [substream_seed(0, j) for j in range(50)]
     passing = [s for s in seeds
                if verify_permutation_selector(random_selector(2, 3, m_star, s), 2, "exact").ok]
@@ -195,6 +209,7 @@ def test_minimal_m_passing_trial_is_monotone_in_m():
 
 
 def test_minimal_m_exhausts_on_tiny_cap():
-    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact")
+    cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=4,
+                      m_override=2)
     with pytest.raises(AttemptsExhaustedError):
-        minimal_m_search(2, 2, cfg, trials_per_m=4, max_m=2)
+        minimal_m_search(2, 2, cfg)

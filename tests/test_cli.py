@@ -40,6 +40,20 @@ def test_gen_m_zero_exhausts(tmp_path, capsys):
     assert code == 1 and out.startswith("gamma") and "FAIL" in out
 
 
+def test_gen_q_does_not_resize_a_target_without_one(tmp_path, capsys):
+    # permutation takes no q, so -q 1 must not swap the k^2 formula length
+    # (m=5090 here) for the k*q one (m=1697).
+    runs = []
+    for name, q_flag in (("a.sel", ()), ("b.sel", ("-q", "1"))):
+        f = tmp_path / name
+        code, out, _ = run(capsys, "gen", "-k", "3", "-N", "8", "--target", "permutation",
+                           *q_flag, "-o", str(f))
+        assert code == 0
+        runs.append((out.replace(str(f), "OUT"), f.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].endswith("attempts=1 m=5090 out=OUT\n")
+
+
 def test_gen_verify_round_trip(tmp_path, capsys):
     for target, extra in (("strong", []), ("permutation", []), ("kq_permutation", ["-q", "2"])):
         out_file = tmp_path / f"{target}.txt"

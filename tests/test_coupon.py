@@ -311,6 +311,17 @@ def test_chernoff_tail_values():
     assert chernoff_tail(0, 2) == 1.0
 
 
+@pytest.mark.parametrize("args,expected", [
+    ((40, 2, 100_000, 1002), (0.00106, 0.00010290172010224125)),
+    ((60, 3, 23_457, 7), (0.0014920919128618322, 0.0002520213355531704)),
+    ((80, 4, 10_001, 3), (0.0004999500049995, 0.00022352854179791062)),
+])
+def test_chernoff_tail_empirical_is_pinned(args, expected):
+    # Captured with 10,000-trial chunks; no trial count here is a multiple
+    # of 10,000 or of MC_CHUNK.
+    assert chernoff_tail_empirical(*args) == expected
+
+
 def test_chernoff_tail_empirical_under_bound():
     freq, _ = chernoff_tail_empirical(40, 2, trials=100_000, seed=12)
     bound = chernoff_tail(40, 2)

@@ -2,13 +2,14 @@
 
 `linear_scan` is the former implementation, kept here as the oracle: it
 tries m = 1, 2, 3, ... and at each length draws and verifies every trial
-(through `build`'s names, so a test can count its calls).
+(through `build`'s names, so a test can count its calls).  Both take their
+trials from config.max_attempts and their cap from config.m_override.
 Both are compared on the full outcome: the returned length, or the type and
 message of the exception raised.
 """
 
+from dataclasses import replace
 import itertools
-from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -17,6 +18,7 @@ from permsel import build
 from permsel.build import (
     BuildConfig,
     _default_m,
+    build_verified,
     minimal_m_search,
     random_selector,
     substream_seed,
@@ -25,20 +27,16 @@ from permsel.errors import AttemptsExhaustedError, BudgetExceededError
 from permsel.selectors import VERIFY_TARGETS, verify
 
 
-def linear_scan(k: int, universe_size: int, config: BuildConfig,
-                trials_per_m: int, max_m: Optional[int] = None) -> int:
-    if trials_per_m < 1:
-        raise ValueError("trials_per_m must be at least 1")
-    if max_m is None:
-        max_m = _default_m(k, universe_size, config)
-    seeds = [substream_seed(config.seed, j) for j in range(trials_per_m)]
+def linear_scan(k: int, universe_size: int, config: BuildConfig) -> int:
+    max_m = _default_m(k, universe_size, config)
+    seeds = [substream_seed(config.seed, j) for j in range(config.max_attempts)]
     for m in range(1, max_m + 1):
         for s in seeds:
             selector = build.random_selector(k, universe_size, m, s)
             if build.verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
                 return m
     raise AttemptsExhaustedError(
-        f"no verified selector up to m={max_m} with {trials_per_m} trials per length"
+        f"no verified selector up to m={max_m} with {config.max_attempts} trials per length"
     )
 
 
@@ -49,8 +47,8 @@ def outcome(search, *args):
         return type(e), str(e)
 
 
-def assert_same(k, n, config, trials, max_m):
-    args = (k, n, config, trials, max_m)
+def assert_same(k, n, config):
+    args = (k, n, config)
     assert outcome(minimal_m_search, *args) == outcome(linear_scan, *args), args
 
 
@@ -64,8 +62,9 @@ MAX_MS = (None, 0, 1, 7, 200)
 @pytest.mark.parametrize("target,mode", itertools.product(VERIFY_TARGETS, MODES))
 def test_matches_linear_scan_over_budgets_and_caps(target, mode):
     for budget, max_m in itertools.product(BUDGETS, MAX_MS):
-        config = BuildConfig(seed=5, target=target, size_mode=mode, q=2, budget=budget)
-        assert_same(3, 6, config, 3, max_m)
+        config = BuildConfig(seed=5, target=target, size_mode=mode, q=2, budget=budget,
+                             max_attempts=3, m_override=max_m)
+        assert_same(3, 6, config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,14 +82,28 @@ def test_matches_linear_scan_over_budgets_and_caps(target, mode):
 def test_matches_linear_scan_random(target, mode, k, n, q, seed, trials, budget, max_m):
     # k > n and q > k are left in: both searches must raise the same error.
     config = BuildConfig(seed=seed, target=target, size_mode=mode, q=q, budget=budget,
-                         m_override=60)
-    assert_same(k, n, config, trials, max_m)
+                         max_attempts=trials, m_override=60 if max_m is None else max_m)
+    assert_same(k, n, config)
+
+
+@pytest.mark.parametrize("target,mode", itertools.product(VERIFY_TARGETS, MODES))
+@pytest.mark.parametrize("k,n,seed", [(3, 6, 5), (2, 5, 4)])
+def test_answer_is_the_smallest_length_gen_succeeds_at(target, mode, k, n, seed):
+    config = BuildConfig(seed=seed, target=target, size_mode=mode, q=2, max_attempts=3)
+    m = minimal_m_search(k, n, config)
+    selector, _ = build_verified(k, n, replace(config, m_override=m))
+    assert len(selector) == m
+    with pytest.raises(AttemptsExhaustedError):
+        build_verified(k, n, replace(config, m_override=m - 1))
 
 
 def test_bad_trials_and_negative_cap_match():
-    config = BuildConfig(seed=0, target="permutation", size_mode="exact")
-    assert_same(2, 3, config, 0, None)
-    assert_same(2, 3, config, 2, -4)
+    # Both searches read their trials and cap from the config, which refuses
+    # a trial count below 1 and a negative cap before either search runs.
+    with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+        BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=0)
+    with pytest.raises(ValueError, match="m_override must be non-negative"):
+        BuildConfig(seed=0, target="permutation", size_mode="exact", m_override=-4)
 
 
 def count_calls(monkeypatch):
@@ -117,22 +130,23 @@ def assert_each_draw_verified_once(calls):
 
 
 def test_each_draw_is_verified_once_and_the_search_draws_less(monkeypatch):
-    config = BuildConfig(seed=5, target="permutation", size_mode="up_to")
+    config = BuildConfig(seed=5, target="permutation", size_mode="up_to", max_attempts=3)
     calls = count_calls(monkeypatch)
-    assert minimal_m_search(3, 6, config, 3) == 44
+    assert minimal_m_search(3, 6, config) == 44
     assert_each_draw_verified_once(calls)
     searched_sets = sum(calls[::2])
     calls.clear()
-    assert linear_scan(3, 6, config, 3) == 44
+    assert linear_scan(3, 6, config) == 44
     # The scan draws every trial at every length below 44: over 2,800 sets.
     assert searched_sets * 3 < sum(calls[::2])
 
 
 def test_refused_length_is_not_drawn(monkeypatch):
     # 156 ordered instances over N=6: m=20 is the first length over 3000.
-    config = BuildConfig(seed=5, target="permutation", size_mode="up_to", budget=3000)
+    config = BuildConfig(seed=5, target="permutation", size_mode="up_to", budget=3000,
+                         max_attempts=3)
     calls = count_calls(monkeypatch)
     with pytest.raises(BudgetExceededError, match="needs ~3120 primitive"):
-        minimal_m_search(3, 6, config, 3)
+        minimal_m_search(3, 6, config)
     assert_each_draw_verified_once(calls)
     assert max(calls[::2]) == 19

@@ -6,6 +6,7 @@ import pytest
 from permsel import radio
 from permsel.build import BuildConfig, build_verified
 from permsel.errors import (
+    BudgetExceededError,
     NotStronglyConnectedError,
     QuasiGossipFailedError,
     UnreachableNodeError,
@@ -421,3 +422,12 @@ def test_active_path_ell_cycle():
     # exactly j (its nodes' predecessors), so paths shorter than kappa pass.
     assert active_path_ell(g, st, 3) == 2
     assert active_path_ell(g, st, 5) == 4
+
+
+@pytest.mark.parametrize("budget", [0, 3])
+def test_active_path_ell_refuses_past_its_budget(monkeypatch, budget):
+    # 0 is exceeded at the first start node, 3 inside the first path's DFS.
+    monkeypatch.setattr(radio, "ACTIVE_PATH_BUDGET", budget)
+    g = net({1}, {2}, {3}, {0})
+    with pytest.raises(BudgetExceededError, match=f"exceeded {budget} expansions"):
+        active_path_ell(g, SimState(g), 5)
