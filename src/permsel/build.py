@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AttemptsExhaustedError, BudgetExceededError
-from .selectors import DEFAULT_BUDGET, _Q_TARGETS, Selector, _charge, check_target, verify
+from .selectors import (DEFAULT_BUDGET, _Q_TARGETS, Selector, _charge, check_request,
+                        check_target, verify)
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
@@ -86,12 +87,8 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if universe_size < 2:
-        raise ValueError("universe size must be at least 2")
-    if k > universe_size:
-        raise ValueError(f"k={k} exceeds universe size {universe_size}")
-    if q is not None and not 1 <= q <= k:
-        raise ValueError(f"q must be in [1, k], got {q}")
+    # k <= N (so N >= 2) and q in [1, k], as every request is checked.
+    check_request(universe_size, k, "permutation", q, "exact")
     gamma = isolation_gamma(k)
     delta = 1.0 - 1.0 / (4.0 * gamma)
     alpha = chernoff_alpha(k)

@@ -38,18 +38,17 @@ def _err(msg: str) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
+def _build_config(args, max_attempts: int, m_override: Optional[int]) -> build.BuildConfig:
+    """The BuildConfig of gen's and minsize's shared request flags, checked
+    (`selectors.check_request`) before anything is derived or drawn."""
+    selectors.check_request(args.N, args.k, args.target, args.q, args.mode)
+    return build.BuildConfig(seed=args.seed, max_attempts=max_attempts, m_override=m_override,
+                             size_mode=args.mode, target=args.target, q=args.q,
+                             budget=_budget())
+
+
 def cmd_gen(args) -> int:
-    config = build.BuildConfig(
-        seed=args.seed,
-        max_attempts=args.attempts,
-        m_override=args.m,
-        size_mode=args.mode,
-        target=args.target,
-        q=args.q,
-        budget=_budget(),
-    )
-    if args.k < 1 or args.k > args.N:
-        raise ValueError(f"need 1 <= k <= N, got k={args.k}, N={args.N}")
+    config = _build_config(args, args.attempts, args.m)
     if args.k >= 2:
         params = build.derive_size_params(args.k, args.N, config.q)
         print(params.report())
@@ -123,16 +122,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_minsize(args) -> int:
-    config = build.BuildConfig(
-        seed=args.seed,
-        max_attempts=args.trials,
-        m_override=args.max_m,
-        size_mode=args.mode,
-        target=args.target,
-        q=args.q,
-        budget=_budget(),
-    )
-    m = build.minimal_m_search(args.k, args.N, config)
+    m = build.minimal_m_search(args.k, args.N, _build_config(args, args.trials, args.max_m))
     print(f"minimal_m={m}")
     return EXIT_OK
 
@@ -205,15 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Selector construction, verification, probability oracles, and gossip simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The request gen builds and minsize minimises, shared so their defaults agree.
+    request = argparse.ArgumentParser(add_help=False)
+    request.add_argument("-k", type=int, required=True)
+    request.add_argument("-N", type=int, required=True, help="universe size")
+    request.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
+    request.add_argument("--mode", choices=selectors.SIZE_MODES, default="up_to")
+    request.add_argument("-q", type=int, default=None)
+    request.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gen", help="build a verified selector and write it to a file")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-N", type=int, required=True, help="universe size")
+    p = sub.add_parser("gen", parents=[request],
+                       help="build a verified selector and write it to a file")
     p.add_argument("-m", type=int, default=None, help="override the derived length")
-    p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
-    p.add_argument("--mode", choices=selectors.SIZE_MODES, default="up_to")
-    p.add_argument("-q", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=50)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -241,14 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=float, default=None, help="override the grid constant")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("minsize", help="empirical smallest verifying length")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--target", choices=selectors.VERIFY_TARGETS, default="permutation")
-    p.add_argument("--mode", choices=selectors.SIZE_MODES, default="exact")
-    p.add_argument("-q", type=int, default=None)
+    p = sub.add_parser("minsize", parents=[request], help="empirical smallest verifying length")
     p.add_argument("--trials", type=int, default=50, help="draws tried per length: gen's --attempts")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-m", type=int, default=None, help="largest length tried: gen's -m")
     p.set_defaults(func=cmd_minsize)
 

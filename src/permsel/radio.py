@@ -290,32 +290,32 @@ def broadcast(network: Network, state: SimState, source: int) -> int:
     Deterministic round robin: repeat the singleton schedule {0},{1},...,
     {n-1}, each node transmitting in its slot once it holds the payload.
     Each pass pushes the payload one distance layer further; the run stops
-    as soon as every node holds it (global completion check).
+    as soon as every node holds it (global completion check).  A pass that
+    reaches no new node leaves the holders closed under out-edges, so the
+    smallest node still missing the payload is unreachable from the source:
+    UnreachableNodeError names it, after that stalled pass is recorded.
     """
     if not 0 <= source < network.n:
         raise ValueError(f"unknown source label {source}")
-    reachable = _reachable(network.out_edges, source)
-    if len(reachable) != network.n:
-        raise UnreachableNodeError(source, min(set(range(network.n)) - reachable))
     held = state.rumors_held
     payload = held[source]
     holds = [payload & ~h == 0 for h in held]
     missing = holds.count(False)
-    rounds = 0
-    for _ in range(network.n):
+    start = state.round
+    while missing:
+        before = missing
         for slot in range(network.n):
-            if not missing:
-                return rounds
             step(network, state, {slot} if holds[slot] else (), phase="disperse")
-            rounds += 1
             if holds[slot]:
                 for w in network.out_edges[slot]:
                     if not holds[w] and payload & ~held[w] == 0:
                         holds[w] = True
                         missing -= 1
-    if missing:
-        raise RuntimeError(f"broadcast from {source} did not complete in n^2 rounds")
-    return rounds
+            if not missing:
+                break
+        if missing == before:
+            raise UnreachableNodeError(source, holds.index(False))
+    return state.round - start
 
 
 def measure_broadcast_rounds(network: Network) -> int:

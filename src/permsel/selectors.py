@@ -265,20 +265,14 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
 def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
             size_mode: str, budget: int) -> None:
     """Validate a verification of `target` on a selector of `length` sets
-    and charge it against the budget, raising before any set is drawn or
-    enumerated.
+    (see `check_request`) and charge it against the budget, raising before
+    any set is drawn or enumerated.
 
     The charge is (instances) * max(length, 1), counting each ordering of
-    a target set as an instance for the ordered targets.  q is checked
-    only when given and the target takes it.
+    a target set as an instance for the ordered targets.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > universe_size:
-        raise ValueError(f"k={k} exceeds universe size {universe_size}")
+    check_request(universe_size, k, target, q, size_mode)
     sizes = _sizes(k, size_mode)
-    if target in _Q_TARGETS and q is not None and not 1 <= q <= k:
-        raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
     ordered = target in _ORDERED_TARGETS
     instances = sum(comb(universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
     cost = instances * max(length, 1)
@@ -372,10 +366,26 @@ def check_target(target: str, q: Optional[int]) -> None:
         raise ValueError(f"target {target} needs q")
 
 
+def check_request(universe_size: int, k: int, target: str, q: Optional[int],
+                  size_mode: str) -> None:
+    """Raise ValueError unless target has the q it needs (`check_target`),
+    1 <= k <= universe_size, q is in [1, k] when given (for every target:
+    strong and permutation ignore an in-range q) and size_mode is known."""
+    check_target(target, q)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > universe_size:
+        raise ValueError(f"k={k} exceeds universe size {universe_size}")
+    if q is not None and not 1 <= q <= k:
+        raise ValueError(f"q must be in [1, k], got q={q}, k={k}")
+    _sizes(k, size_mode)  # raises on an unknown size_mode
+
+
 def verify(selector: Selector, k: int, target: str, q: Optional[int] = None,
            size_mode: str = "exact", budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Run the verifier for `target`, one of VERIFY_TARGETS; the kq targets need q."""
-    check_target(target, q)
+    """Run the verifier for `target`, one of VERIFY_TARGETS, after
+    `check_request`; the kq targets need q."""
+    check_request(selector.universe_size, k, target, q, size_mode)
     if target == "strong":
         return verify_strong(selector, k, size_mode, budget)
     if target == "permutation":

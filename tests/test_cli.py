@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from permsel import build
-from permsel.cli import _ratio, main
+from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected, save_network
 from permsel.selectors import load_selector, verify_permutation_selector
 
@@ -109,6 +109,65 @@ def test_verify_budget_refusal(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMSEL_BUDGET", "1000")
     code, _, err = run(capsys, "verify", str(f), "--target", "permutation", "-k", "8")
     assert code == 2 and "budget" in err
+
+
+# ---------------------------------------------------------------------------
+# the request gen builds and minsize minimises
+# ---------------------------------------------------------------------------
+
+def test_gen_and_minsize_share_request_defaults():
+    parser = build_parser()
+    gen = vars(parser.parse_args(["gen", "-k", "2", "-N", "4", "-o", "x.sel"]))
+    minsize = vars(parser.parse_args(["minsize", "-k", "2", "-N", "4"]))
+    shared = gen.keys() & minsize.keys() - {"command", "func"}
+    assert shared == {"k", "N", "target", "mode", "q", "seed"}
+    assert {f: gen[f] for f in shared} == {f: minsize[f] for f in shared}
+    assert gen["mode"] == "up_to"
+
+
+def test_minsize_answer_is_where_gen_starts_to_succeed(tmp_path, capsys):
+    # No --mode: both default to up_to, where kq_permutation needs 18 (17 in exact).
+    flags = ("-k", "3", "-N", "6", "-q", "2", "--target", "kq_permutation", "--seed", "5")
+    assert run(capsys, "minsize", *flags, "--trials", "3") == (0, "minimal_m=18\n", "")
+    for m, code in (("18", 0), ("17", 1)):
+        got, _, _ = run(capsys, "gen", *flags, "--attempts", "3", "-m", m,
+                        "-o", str(tmp_path / f"{m}.sel"))
+        assert got == code
+
+
+REQUEST_COMMANDS = {
+    "gen": ("gen", "-N", "6", "-m", "40", "-o", "{dir}/out.sel"),
+    "minsize": ("minsize", "-N", "6"),
+    "verify": ("verify", "{dir}/short.sel"),
+}
+
+
+def request_run(tmp_path, capsys, command, *flags):
+    # The selector file verify reads is over N=6 with k=3 in its header.
+    (tmp_path / "short.sel").write_text("6 3 5\n0 1\n3 5\n0\n0 3 4\n2 4 5\n", encoding="utf-8")
+    argv = [a.format(dir=tmp_path) for a in REQUEST_COMMANDS[command]]
+    return run(capsys, *argv, *flags)
+
+
+@pytest.mark.parametrize("target", ["strong", "permutation", "kq", "kq_permutation"])
+@pytest.mark.parametrize("command", sorted(REQUEST_COMMANDS))
+def test_out_of_range_q_is_refused_on_every_target(tmp_path, capsys, command, target):
+    k = () if command == "verify" else ("-k", "3")
+    got = request_run(tmp_path, capsys, command, *k, "--target", target, "-q", "9")
+    assert got == (2, "", "error: q must be in [1, k], got q=9, k=3\n")
+    assert not (tmp_path / "out.sel").exists()
+
+
+@pytest.mark.parametrize("k,message", [("0", "k must be at least 1"),
+                                       ("7", "k=7 exceeds universe size 6")])
+@pytest.mark.parametrize("command,extra", [
+    ("gen", ()), ("gen", ("-m", "5")), ("minsize", ()), ("minsize", ("--max-m", "5")),
+    ("verify", ()),
+], ids=["gen", "gen-m", "minsize", "minsize-max-m", "verify"])
+def test_k_outside_1_to_n_gives_one_message(tmp_path, capsys, command, extra, k, message):
+    got = request_run(tmp_path, capsys, command, "-k", k, *extra)
+    assert got == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out.sel").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,21 @@ def test_broadcast_unreachable_reports_node():
     assert exc.value.node == 2
 
 
+def test_broadcast_unreachable_names_the_smallest_unreachable_node():
+    # 0 -> 3 -> 4 -> 0 is closed; no edge leads from it to 1 or 2.  Labels 3
+    # and 4 are reachable yet above the smallest unreachable label, 1.
+    g = net({3}, {0}, {1}, {4}, {0})
+    st = SimState(g)
+    with pytest.raises(UnreachableNodeError) as exc:
+        broadcast(g, st, 0)
+    assert (exc.value.source, exc.value.node) == (0, 1)
+    # Pass 1 reaches 3 and 4; pass 2 reaches nothing and is recorded before
+    # the raise.
+    assert st.round == 2 * g.n
+    assert [rec.transmitters for rec in st.records[g.n:]] == [
+        {0}, set(), set(), {3}, {4}]
+
+
 def test_measure_broadcast_rounds_leaves_caller_state_alone():
     g = random_strongly_connected(5, 0.2, 8)
     st = SimState(g)
