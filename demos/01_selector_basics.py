@@ -2,7 +2,6 @@
 """Walk through what a selector is and what the four verifiers check."""
 
 from permsel import (
-    Instance,
     Selector,
     isolates,
     isolates_permutation,
@@ -29,14 +28,13 @@ print("=" * 64)
 
 sel = Selector(2, (frozenset({0}), frozenset({1}), frozenset({0})))
 print("selector over {0,1}:", [sorted(s) for s in sel.sets])
-print("trace against X={0,1}:", isolation_trace(sel, {0, 1}).events)
+print("trace against X={0,1}:", isolation_trace(sel, {0, 1}))
 
 print()
 print("The ordered property: X must be isolated in a REQUESTED order,")
 print("i.e. the order must appear as a subsequence of the trace labels.")
 for order in ((0, 1), (1, 0)):
-    inst = Instance(frozenset({0, 1}), order)
-    print(f"  order {order}: isolated in order? {isolates_permutation(sel, inst)}")
+    print(f"  order {order}: isolated in order? {isolates_permutation(sel, order)}")
 
 print()
 print("=" * 64)

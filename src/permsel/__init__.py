@@ -46,8 +46,6 @@ from .radio import (
 )
 from .selectors import (
     VERIFY_TARGETS,
-    Instance,
-    IsolationTrace,
     Selector,
     Verdict,
     isolates,

@@ -11,6 +11,7 @@ PERMSEL_BUDGET overrides the verifiers' enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -27,11 +28,6 @@ EXIT_INVALID = 2
 def _budget() -> int:
     raw = os.environ.get("PERMSEL_BUDGET")
     return int(raw) if raw else selectors.DEFAULT_BUDGET
-
-
-def _err(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INVALID
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +58,7 @@ def cmd_verify(args) -> int:
     try:
         selector, file_k = selectors.load_selector(args.selector)
     except (OSError, ValueError) as e:
-        return _err(f"cannot read selector: {e}")
+        raise ValueError(f"cannot read selector: {e}") from e
     k = args.k if args.k is not None else file_k
     verdict = selectors.verify(selector, k, args.target, args.q, args.mode, _budget())
     print(verdict.format())
@@ -136,7 +132,7 @@ def cmd_simulate(args) -> int:
         n, p, seed = args.random
         network = radio.random_strongly_connected(int(n), float(p), int(seed))
     if not radio.is_strongly_connected(network):
-        return _err("network is not strongly connected")
+        raise NotStronglyConnectedError("network is not strongly connected")
     if args.kappa is not None:
         kappa = args.kappa
     else:
@@ -145,8 +141,8 @@ def cmd_simulate(args) -> int:
     if args.selector is not None:
         loaded, _ = selectors.load_selector(args.selector)
         if loaded.universe_size != network.n:
-            return _err(f"selector universe {loaded.universe_size} does not match "
-                        f"network size {network.n}")
+            raise ValueError(f"selector universe {loaded.universe_size} does not match "
+                             f"network size {network.n}")
         provider = lambda k, n: loaded
     else:
         config = build.BuildConfig(
@@ -189,7 +185,9 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `permsel` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="permsel",
         description="Selector construction, verification, probability oracles, and gossip simulation.",
@@ -273,7 +271,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, BudgetExceededError, NotStronglyConnectedError) as e:
-        return _err(str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
     except PermselError as e:
         print(f"FAIL {e}")
         return EXIT_FAIL

@@ -293,17 +293,10 @@ class UnionBoundReport:
     log2_value: float
     existence_certified: bool
 
-    @property
-    def value(self) -> float:
-        try:
-            return 2.0**self.log2_value
-        except OverflowError:
-            return math.inf
-
 
 def union_bound_value(k: int, universe_size: int, c: float) -> UnionBoundReport:
     """Evaluate the union bound in log2 space and report whether it
-    certifies existence (value < 1)."""
+    certifies existence (log2_value < 0)."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if universe_size < 2:

@@ -176,9 +176,6 @@ class SimState:
         self.checks: dict[str, object] = {}
         self.replay_start: Optional[int] = None
 
-    def active_nodes(self) -> frozenset[int]:
-        return frozenset(_labels(self.active))
-
     def active_rumor_count(self, v: int) -> int:
         return (self.rumors_held[v] & self.active).bit_count()
 
@@ -402,9 +399,9 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         iterations = math.ceil(math.log2(kappa)) + 1 if kappa > 1 else 1
         half = math.ceil(kappa / 2)
         for _ in range(iterations):
-            active = state.active_nodes()
+            active = state.active
             for s in selector.sets:
-                step(network, state, s & active, phase="selector")
+                step(network, state, [v for v in s if active >> v & 1], phase="selector")
             disperse(network, state, half)
             done = check_quasi_gossip_done(network, state)
             if done:

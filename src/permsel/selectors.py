@@ -70,47 +70,6 @@ class Selector:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def append(self, extra: Iterable[Label]) -> "Selector":
-        """A new selector with one more set at the end."""
-        return Selector(self.universe_size, self.sets + (frozenset(extra),))
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A k-subset X of the universe together with an ordering of it."""
-
-    subset: frozenset[Label]
-    order: tuple[Label, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        object.__setattr__(self, "order", tuple(self.order))
-        if len(self.subset) < 1:
-            raise ValueError("instance subset must be non-empty")
-        if len(self.order) != len(self.subset) or set(self.order) != self.subset:
-            raise ValueError("order must be a permutation of subset")
-
-    @property
-    def k(self) -> int:
-        return len(self.subset)
-
-
-@dataclass(frozen=True)
-class IsolationTrace:
-    """The isolation events of a selector against a fixed set X, in time order.
-
-    Each event is a pair (set_index, isolated_label) with strictly
-    increasing set indices.
-    """
-
-    events: tuple[tuple[int, Label], ...]
-
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(x for _, x in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -135,11 +94,6 @@ class Verdict:
         if self.element is not None:
             parts.append(f"x={self.element}")
         return " ".join(parts)
-
-    def instance(self) -> Instance:
-        if self.ok or self.order is None:
-            raise ValueError("verdict carries no counterexample instance")
-        return Instance(frozenset(self.x_set), self.order)
 
 
 OK = Verdict(ok=True)
@@ -218,12 +172,13 @@ def _trace_events(x_tuple: Sequence[Label], iso: Sequence[int]) -> list[tuple[in
     return events
 
 
-def isolation_trace(selector: Selector, x_set: Iterable[Label]) -> IsolationTrace:
-    """All (index, label) isolation events of the selector against x_set."""
+def isolation_trace(selector: Selector, x_set: Iterable[Label]) -> tuple[tuple[int, Label], ...]:
+    """All (index, label) isolation events of the selector against x_set,
+    in strictly increasing index order."""
     # Labels outside the universe are in no set: they never produce an event.
     cols = _columns(selector)
     inside = [x for x in frozenset(x_set) if 0 <= x < len(cols)]
-    return IsolationTrace(tuple(_trace_events(inside, _isolation_times(cols, inside))))
+    return tuple(_trace_events(inside, _isolation_times(cols, inside)))
 
 
 def _ordered_count(labels: Sequence[Label], order: Sequence[Label]) -> int:
@@ -233,11 +188,14 @@ def _ordered_count(labels: Sequence[Label], order: Sequence[Label]) -> int:
     return lis_length([pos_of[x] for x in labels])
 
 
-def isolates_permutation(selector: Selector, instance: Instance) -> bool:
-    """True iff the isolation trace of instance.subset contains instance.order
-    as a (not necessarily contiguous) subsequence."""
-    labels = isolation_trace(selector, instance.subset).labels()
-    return _ordered_count(labels, instance.order) == instance.k
+def isolates_permutation(selector: Selector, order: Sequence[Label]) -> bool:
+    """True iff the isolation trace of the labels of `order` contains `order`
+    as a (not necessarily contiguous) subsequence.  Raises ValueError on an
+    empty order or a repeated label."""
+    if not order or len(set(order)) != len(order):
+        raise ValueError(f"order must be a non-empty sequence of distinct labels, got {order!r}")
+    labels = [x for _, x in isolation_trace(selector, order)]
+    return _ordered_count(labels, order) == len(order)
 
 
 def lis_length(positions: Sequence[int]) -> int:

@@ -39,7 +39,6 @@ from permsel.radio import (
     random_strongly_connected,
 )
 from permsel.selectors import (
-    Instance,
     isolates_permutation,
     isolation_trace,
     verify_kq_permutation_selector,
@@ -285,9 +284,8 @@ def test_criterion_09_verifier_cross_validation():
         m = int(rng.integers(0, 13))
         selector = random_selector(max(k, 2), n, m, seed=substream_seed(88, i))
         x_tuple = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
-        inst = Instance(frozenset(x_tuple), x_tuple)
-        labels = isolation_trace(selector, inst.subset).labels()
-        assert isolates_permutation(selector, inst) == _index_tuple_oracle(labels, inst.order)
+        labels = [x for _, x in isolation_trace(selector, x_tuple)]
+        assert isolates_permutation(selector, x_tuple) == _index_tuple_oracle(labels, x_tuple)
     _report(9, "verifiers agree: q=k vs full (200), greedy vs index tuples (500)")
 
 

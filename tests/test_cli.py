@@ -111,6 +111,14 @@ def test_verify_budget_refusal(tmp_path, capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+def test_parser_is_built_once_and_each_parse_starts_afresh():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["minsize", "-k", "2", "-N", "4", "--seed", "9", "-q", "1"])
+    again = parser.parse_args(["minsize", "-k", "2", "-N", "4"])
+    assert (first.seed, first.q) == (9, 1) and (again.seed, again.q) == (0, None)
+
+
 # ---------------------------------------------------------------------------
 # the request gen builds and minsize minimises
 # ---------------------------------------------------------------------------

@@ -362,7 +362,3 @@ def test_union_bound_monotone_beyond_peak():
               [peak + i * 5.0 for i in range(12)]]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
-
-def test_union_bound_value_property():
-    r = union_bound_value(2, 4, 1.0)
-    assert r.value == pytest.approx(2.0**r.log2_value)

@@ -10,7 +10,6 @@ from permsel.errors import BudgetExceededError
 from permsel.selectors import (
     OK,
     VERIFY_TARGETS,
-    Instance,
     Selector,
     Verdict,
     isolates,
@@ -56,22 +55,22 @@ def test_isolates_empty_set():
 
 def test_isolation_trace_basic():
     s = sel(2, {0}, {1}, {0})
-    assert isolation_trace(s, {0, 1}).events == ((0, 0), (1, 1), (2, 0))
+    assert isolation_trace(s, {0, 1}) == ((0, 0), (1, 1), (2, 0))
 
 
 def test_isolation_trace_skips_wide_sets():
-    assert isolation_trace(sel(2, {0, 1}), {0, 1}).events == ()
+    assert isolation_trace(sel(2, {0, 1}), {0, 1}) == ()
 
 
 def test_isolation_trace_skips_empty_intersections():
     s = sel(2, {0}, {0, 1}, {1})
-    assert isolation_trace(s, {1}).events == ((1, 1), (2, 1))
+    assert isolation_trace(s, {1}) == ((1, 1), (2, 1))
 
 
 def test_isolates_permutation_true_and_false():
     s = sel(2, {0}, {1}, {0})
-    assert isolates_permutation(s, Instance({0, 1}, (1, 0)))
-    assert not isolates_permutation(sel(2, {0}, {1}), Instance({0, 1}, (1, 0)))
+    assert isolates_permutation(s, (1, 0))
+    assert not isolates_permutation(sel(2, {0}, {1}), (1, 0))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (6, 3)])
@@ -79,7 +78,7 @@ def test_singleton_passes_isolate_everything(n, k):
     s = singleton_selector(n, passes=k)
     for x_tuple in combinations(range(n), k):
         for order in permutations(x_tuple):
-            assert isolates_permutation(s, Instance(frozenset(x_tuple), order))
+            assert isolates_permutation(s, order)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +97,15 @@ def contains_by_index_tuples(trace_labels, order):
 def test_greedy_matches_exhaustive_oracle_exhaustively_small():
     # All selectors of length 3 over N=2 against all instances with k <= 2.
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    instances = [Instance(frozenset(t), order)
-                 for k in (1, 2)
-                 for t in combinations(range(2), k)
-                 for order in permutations(t)]
+    orders = [order
+              for k in (1, 2)
+              for t in combinations(range(2), k)
+              for order in permutations(t)]
     for sets in product(subsets, repeat=3):
         s = Selector(2, sets)
-        for inst in instances:
-            labels = isolation_trace(s, inst.subset).labels()
-            assert isolates_permutation(s, inst) == contains_by_index_tuples(labels, inst.order)
+        for order in orders:
+            labels = [x for _, x in isolation_trace(s, order)]
+            assert isolates_permutation(s, order) == contains_by_index_tuples(labels, order)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_no_length_two_selector_is_a_two_permutation_selector():
 def test_verify_permutation_counterexample_order():
     v = verify_permutation_selector(sel(2, {0}, {1}), 2, "exact")
     assert not v.ok and v.x_set == (0, 1) and v.order == (1, 0)
-    assert v.instance() == Instance({0, 1}, (1, 0))
+    assert not isolates_permutation(sel(2, {0}, {1}), v.order)
 
 
 def test_verify_kq_each_pair_has_one_isolated():
@@ -259,7 +258,7 @@ def test_appending_sets_preserves_ok(k_extra, data):
     sets = [frozenset(data.draw(st.sets(st.integers(0, n - 1)))) for _ in range(m)]
     s = Selector(n, tuple(sets))
     extra = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
-    grown = s.append(extra)
+    grown = Selector(n, s.sets + (extra,))
     for k in (1, 2):
         for mode in ("exact", "up_to"):
             if verify_permutation_selector(s, k, mode).ok:
@@ -270,11 +269,10 @@ def test_appending_sets_preserves_ok(k_extra, data):
 
 def test_prefix_of_isolated_order_is_isolated():
     s = singleton_selector(4, passes=3)
-    inst = Instance({0, 2, 3}, (3, 0, 2))
-    assert isolates_permutation(s, inst)
+    order = (3, 0, 2)
+    assert isolates_permutation(s, order)
     for cut in (1, 2):
-        prefix = inst.order[:cut]
-        assert isolates_permutation(s, Instance(frozenset(prefix), prefix))
+        assert isolates_permutation(s, order[:cut])
 
 
 def test_permutation_ok_implies_strong_ok():
@@ -366,11 +364,10 @@ def test_selector_rejects_out_of_range_labels():
         Selector(2, (frozenset({2}),))
 
 
-def test_instance_requires_permutation_of_subset():
-    with pytest.raises(ValueError):
-        Instance({0, 1}, (0, 0))
-    with pytest.raises(ValueError):
-        Instance({0, 1}, (0,))
+def test_isolates_permutation_rejects_empty_or_repeated_order():
+    for order in ((), (0, 0)):
+        with pytest.raises(ValueError):
+            isolates_permutation(singleton_selector(2), order)
 
 
 def test_text_round_trip(tmp_path):
