@@ -15,33 +15,13 @@ from typing import Optional
 
 import numpy as np
 
+from .coupon import chernoff_alpha, isolation_gamma, tail_beta
 from .errors import AttemptsExhaustedError, BudgetExceededError
-from .selectors import (DEFAULT_BUDGET, _Q_TARGETS, Selector, _charge, check_request,
-                        check_target, verify)
+from .selectors import DEFAULT_BUDGET, Selector, _charge, check_request, check_target, verify
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
 C_GRID_MAX = 1024.0
-
-
-def isolation_gamma(k: int) -> float:
-    """Probability that a random 1/k-density set isolates some element of a
-    fixed k-set: (1 - 1/k)**(k-1), in (1/e, 1/2] for k >= 2."""
-    if k < 2:
-        raise ValueError("gamma is defined for k >= 2")
-    return (1.0 - 1.0 / k) ** (k - 1)
-
-
-def chernoff_alpha(k: int) -> float:
-    """Base of the lower-tail bound on the isolation count: exp(-delta^2*gamma/2)."""
-    gamma = isolation_gamma(k)
-    delta = 1.0 - 1.0 / (4.0 * gamma)
-    return math.exp(-delta * delta * gamma / 2.0)
-
-
-def tail_beta(k: int) -> float:
-    """max(alpha, e^{-1/4}), the base of the per-instance failure bound."""
-    return max(chernoff_alpha(k), math.exp(-0.25))
 
 
 def smallest_c(beta: float) -> float:
@@ -61,9 +41,6 @@ class SizeParams:
     """Derived constants and the resulting selector length for a (k, N) or
     (k, q, N) target."""
 
-    k: int
-    universe_size: int
-    q: Optional[int]
     gamma: float
     delta: float
     alpha: float
@@ -96,7 +73,7 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     c = smallest_c(beta)
     log_n = math.log2(universe_size)
     m = math.ceil(c * k * (q if q is not None else k) * log_n)
-    return SizeParams(k, universe_size, q, gamma, delta, alpha, beta, c, m)
+    return SizeParams(gamma, delta, alpha, beta, c, m)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +110,9 @@ def random_selector(k: int, universe_size: int, m: int, seed: int) -> Selector:
 class BuildConfig:
     """Settings of `build_verified` and `minimal_m_search`: both try
     max_attempts seeded draws per length, at m_override (the search's cap)
-    or else the derived length.  q is kept only for kq and kq_permutation;
-    the other targets take none, so it is set to None and never resizes them."""
+    or else the derived length.  q is the one `check_target` says the target
+    uses: kept for kq and kq_permutation, None for the others, so it never
+    resizes them."""
 
     seed: int = 0
     max_attempts: int = 50
@@ -149,9 +127,7 @@ class BuildConfig:
             raise ValueError("max_attempts must be at least 1")
         if self.m_override is not None and self.m_override < 0:
             raise ValueError("m_override must be non-negative")
-        check_target(self.target, self.q)
-        if self.target not in _Q_TARGETS:
-            object.__setattr__(self, "q", None)
+        object.__setattr__(self, "q", check_target(self.target, self.q))
 
 
 def _default_m(k: int, universe_size: int, config: BuildConfig) -> int:

@@ -54,11 +54,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _read(what: str, load, path):
+    """load(path), with a failure reported as an unreadable `what` (exit 2)."""
     try:
-        selector, file_k = selectors.load_selector(args.selector)
+        return load(path)
     except (OSError, ValueError) as e:
-        raise ValueError(f"cannot read selector: {e}") from e
+        raise ValueError(f"cannot read {what}: {e}") from e
+
+
+def cmd_verify(args) -> int:
+    selector, file_k = _read("selector", selectors.load_selector, args.selector)
     k = args.k if args.k is not None else file_k
     verdict = selectors.verify(selector, k, args.target, args.q, args.mode, _budget())
     print(verdict.format())
@@ -124,10 +129,8 @@ def cmd_minsize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.broadcast_rounds is not None and args.broadcast_rounds < 1:
-        raise ValueError("broadcast_rounds must be at least 1")
     if args.network is not None:
-        network = radio.load_network(args.network)
+        network = _read("network", radio.load_network, args.network)
     else:
         n, p, seed = args.random
         network = radio.random_strongly_connected(int(n), float(p), int(seed))
@@ -136,10 +139,10 @@ def cmd_simulate(args) -> int:
     if args.kappa is not None:
         kappa = args.kappa
     else:
-        b_rounds = args.broadcast_rounds or radio.measure_broadcast_rounds(network)
+        b_rounds = radio.measure_broadcast_rounds(network)
         kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
     if args.selector is not None:
-        loaded, _ = selectors.load_selector(args.selector)
+        loaded, _ = _read("selector", selectors.load_selector, args.selector)
         if loaded.universe_size != network.n:
             raise ValueError(f"selector universe {loaded.universe_size} does not match "
                              f"network size {network.n}")
@@ -244,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="random strongly connected digraph")
     p.add_argument("--kappa", type=int, default=None,
                    help="defaults to (n*B/log2 n)^(1/3) with measured broadcast time B")
-    p.add_argument("--broadcast-rounds", type=int, default=None,
-                   help="use this B instead of measuring one broadcast")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--selector", help="selector file (trusted, not re-verified)")
     sel.add_argument("--auto", action="store_true",

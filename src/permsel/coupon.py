@@ -23,7 +23,7 @@ last-stage word followed by one of the b letters of the last block, so
 and a row costs O(1) big-integer operations.  The plain pattern is q = k;
 q = 1 has k - b = 0, so a and T vanish.  Note the bound base
 exp(-1/q) of the jump chain is unrelated to the isolation probability
-gamma of `permsel.build` despite the notational similarity.
+`isolation_gamma` below despite the notational similarity.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .build import chernoff_alpha, tail_beta
 from .errors import BudgetExceededError
 
 # Ceiling on k**ell for the enumeration oracles.
@@ -242,6 +241,26 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
 # tail and union bounds
 # ---------------------------------------------------------------------------
 
+def isolation_gamma(k: int) -> float:
+    """Probability that a random 1/k-density set isolates some element of a
+    fixed k-set: (1 - 1/k)**(k-1), in (1/e, 1/2] for k >= 2."""
+    if k < 2:
+        raise ValueError("gamma is defined for k >= 2")
+    return (1.0 - 1.0 / k) ** (k - 1)
+
+
+def chernoff_alpha(k: int) -> float:
+    """Base of the lower-tail bound on the isolation count: exp(-delta^2*gamma/2)."""
+    gamma = isolation_gamma(k)
+    delta = 1.0 - 1.0 / (4.0 * gamma)
+    return math.exp(-delta * delta * gamma / 2.0)
+
+
+def tail_beta(k: int) -> float:
+    """max(alpha, e^{-1/4}), the base of the per-instance failure bound."""
+    return max(chernoff_alpha(k), math.exp(-0.25))
+
+
 def chernoff_tail(m: int, k: int) -> float:
     """The lower-tail bound alpha^m on Pr[h <= m/4], where h counts the sets
     of a length-m random selector isolating some element of a fixed k-set."""
@@ -285,10 +304,6 @@ class UnionBoundReport:
     when the latter is below 1.
     """
 
-    k: int
-    universe_size: int
-    c: float
-    beta: float
     log2_per_instance: float
     log2_value: float
     existence_certified: bool
@@ -319,12 +334,4 @@ def union_bound_value(k: int, universe_size: int, c: float) -> UnionBoundReport:
     else:
         log2_product = math.log2(c) + c * math.log2(beta)
     log2_value = 4.0 * k * log_n + k * log_n * log2_product
-    return UnionBoundReport(
-        k=k,
-        universe_size=universe_size,
-        c=c,
-        beta=beta,
-        log2_per_instance=log2_per_instance,
-        log2_value=log2_value,
-        existence_certified=log2_value < 0.0,
-    )
+    return UnionBoundReport(log2_per_instance, log2_value, log2_value < 0.0)

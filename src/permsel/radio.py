@@ -286,28 +286,28 @@ def broadcast(network: Network, state: SimState, source: int) -> int:
 
     Deterministic round robin: repeat the singleton schedule {0},{1},...,
     {n-1}, each node transmitting in its slot once it holds the payload.
-    Each pass pushes the payload one distance layer further; the run stops
-    as soon as every node holds it (global completion check).  A pass that
-    reaches no new node leaves the holders closed under out-edges, so the
-    smallest node still missing the payload is unreachable from the source:
-    UnreachableNodeError names it, after that stalled pass is recorded.
+    A lone transmitter never collides, so every receiver in its round's
+    record now holds the payload.  Each pass pushes the payload one distance
+    layer further; the run stops as soon as every node holds it (global
+    completion check).  A pass that reaches no new node leaves the holders
+    closed under out-edges, so the smallest node still missing the payload
+    is unreachable from the source: UnreachableNodeError names it, after
+    that stalled pass is recorded.
     """
     if not 0 <= source < network.n:
         raise ValueError(f"unknown source label {source}")
-    held = state.rumors_held
-    payload = held[source]
-    holds = [payload & ~h == 0 for h in held]
+    payload = state.rumors_held[source]
+    holds = [payload & ~h == 0 for h in state.rumors_held]
     missing = holds.count(False)
     start = state.round
     while missing:
         before = missing
         for slot in range(network.n):
-            step(network, state, {slot} if holds[slot] else (), phase="disperse")
-            if holds[slot]:
-                for w in network.out_edges[slot]:
-                    if not holds[w] and payload & ~held[w] == 0:
-                        holds[w] = True
-                        missing -= 1
+            record = step(network, state, {slot} if holds[slot] else (), phase="disperse")
+            for w, _ in record.received:
+                if not holds[w]:
+                    holds[w] = True
+                    missing -= 1
             if not missing:
                 break
         if missing == before:

@@ -316,12 +316,14 @@ def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
     return _verify_ordered(selector, k, q, size_mode, budget)
 
 
-def check_target(target: str, q: Optional[int]) -> None:
-    """Raise ValueError unless target is one of VERIFY_TARGETS and has the q it needs."""
+def check_target(target: str, q: Optional[int]) -> Optional[int]:
+    """Raise ValueError unless target is one of VERIFY_TARGETS and has the q it
+    needs; return the q the target uses (None for strong and permutation)."""
     if target not in VERIFY_TARGETS:
         raise ValueError(f"target must be one of {VERIFY_TARGETS}")
     if target in _Q_TARGETS and q is None:
         raise ValueError(f"target {target} needs q")
+    return q if target in _Q_TARGETS else None
 
 
 def check_request(universe_size: int, k: int, target: str, q: Optional[int],

@@ -359,30 +359,26 @@ def test_simulate_rejects_repeated_out_label(tmp_path, capsys):
     net_file.write_text("2\n0: 1 1\n1: 0\n", encoding="utf-8")
     code, out, err = run(capsys, "simulate", "--network", str(net_file), "--auto")
     assert (code, out) == (2, "")
-    assert err == "error: node 0 repeats an out-label: '0: 1 1'\n"
+    assert err == "error: cannot read network: node 0 repeats an out-label: '0: 1 1'\n"
 
 
-@pytest.mark.parametrize("rounds", ["0", "-1"])
-def test_simulate_rejects_nonpositive_broadcast_rounds(capsys, rounds):
-    code, out, err = run(capsys, "simulate", "--random", "6", "0.3", "1", "--auto",
-                         "--broadcast-rounds", rounds)
-    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
-
-
-def test_simulate_rejects_broadcast_rounds_on_one_node_network(tmp_path, capsys):
-    # One node needs no kappa formula, but a given B is still checked.
-    net_file = tmp_path / "one.net"
-    net_file.write_text("1\n0:\n", encoding="utf-8")
-    code, out, err = run(capsys, "simulate", "--network", str(net_file), "--auto",
-                         "--broadcast-rounds", "-1")
-    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
-
-
-def test_simulate_rejects_broadcast_rounds_beside_kappa(capsys):
-    # --kappa makes B unused, but a given B is still checked.
-    code, out, err = run(capsys, "simulate", "--random", "6", "0.5", "0", "--auto",
-                         "--kappa", "2", "--broadcast-rounds", "0")
-    assert (code, out, err) == (2, "", "error: broadcast_rounds must be at least 1\n")
+@pytest.mark.parametrize("what,text", [("network", None), ("network", "2\n0: x\n1: 0\n"),
+                                       ("selector", None), ("selector", "not a selector\n")],
+                         ids=["missing-network", "malformed-network", "missing-selector",
+                              "malformed-selector"])
+def test_simulate_names_the_input_it_cannot_read(tmp_path, capsys, what, text):
+    # A missing or malformed input file is named, as verify names its selector.
+    net_file, sel_file = tmp_path / "ring.net", tmp_path / "s.sel"
+    net_file.write_text("2\n0: 1\n1: 0\n", encoding="utf-8")
+    sel_file.write_text("2 1 1\n0 1\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    if text is not None:
+        bad.write_text(text, encoding="utf-8")
+    paths = {"network": str(net_file), "selector": str(sel_file), what: str(bad)}
+    code, out, err = run(capsys, "simulate", "--network", paths["network"],
+                         "--selector", paths["selector"], "--kappa", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {what}: ") and err.count("\n") == 1
 
 
 def test_simulate_deterministic_trace(tmp_path, capsys):
