@@ -140,11 +140,6 @@ def _default_m(k: int, universe_size: int, config: BuildConfig) -> int:
     return derive_size_params(k, universe_size, config.q).m
 
 
-def _charge_length(k: int, universe_size: int, m: int, config: BuildConfig) -> None:
-    """Refuse a length the configured verifier would refuse, before drawing it."""
-    _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
-
-
 def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Selector, int]:
     """Generate random selectors until one passes the configured verifier.
 
@@ -154,7 +149,7 @@ def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Sel
     verifier's budget are refused before the first draw.
     """
     m = _default_m(k, universe_size, config)
-    _charge_length(k, universe_size, m, config)
+    _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
     for attempt in range(1, config.max_attempts + 1):
         selector = random_selector(k, universe_size, m, substream_seed(config.seed, attempt - 1))
         if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
@@ -194,7 +189,7 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
         """Whether length m ends the search: it is over budget, or a trial
         verifies at it (and the trials before that one are dropped)."""
         try:
-            _charge_length(k, universe_size, m, config)
+            _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
         except BudgetExceededError:
             return True
         for i, s in enumerate(seeds):
@@ -218,5 +213,6 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
             hi = mid
         else:
             lo = mid
-    _charge_length(k, universe_size, hi, config)  # raises when hi stopped by its refusal
+    # Raises when hi stopped by its refusal.
+    _charge(universe_size, hi, k, config.target, config.q, config.size_mode, config.budget)
     return hi

@@ -110,7 +110,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params = build.derive_size_params(args.k, args.N, args.q)
+    params = build.derive_size_params(args.k, args.N)
     c = args.c if args.c is not None else params.c
     report = coupon.union_bound_value(args.k, args.N, c)
     print(params.report())
@@ -134,13 +134,8 @@ def cmd_simulate(args) -> int:
     else:
         n, p, seed = args.random
         network = radio.random_strongly_connected(int(n), float(p), int(seed))
-    if not radio.is_strongly_connected(network):
-        raise NotStronglyConnectedError("network is not strongly connected")
-    if args.kappa is not None:
-        kappa = args.kappa
-    else:
-        b_rounds = radio.measure_broadcast_rounds(network)
-        kappa = radio.choose_kappa(network.n, b_rounds) if network.n >= 2 else 1
+    kappa = args.kappa if args.kappa is not None else radio.choose_kappa(
+        network.n, radio.measure_broadcast_rounds(network))
     if args.selector is not None:
         loaded, _ = _read("selector", selectors.load_selector, args.selector)
         if loaded.universe_size != network.n:
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="size constants, per-instance bound, and existence certificate")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-N", type=int, required=True)
-    p.add_argument("-q", type=int, default=None)
     p.add_argument("-c", type=float, default=None, help="override the grid constant")
     p.set_defaults(func=cmd_bound)
 

@@ -13,17 +13,17 @@ class AttemptsExhaustedError(PermselError):
     """The generate-and-verify loop ran out of attempts without success."""
 
 
-class UnreachableNodeError(PermselError):
+class NotStronglyConnectedError(PermselError):
+    """Gossip requires a strongly connected network."""
+
+
+class UnreachableNodeError(NotStronglyConnectedError):
     """Broadcast cannot complete: some node is unreachable from the source."""
 
     def __init__(self, source: int, node: int):
         self.source = source
         self.node = node
         super().__init__(f"node {node} is not reachable from source {source}")
-
-
-class NotStronglyConnectedError(PermselError):
-    """Gossip requires a strongly connected network."""
 
 
 class QuasiGossipFailedError(PermselError):

@@ -80,6 +80,8 @@ def network_from_text(text: str) -> Network:
     if not lines:
         raise ValueError("empty network file")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError(f"a network needs at least 1 node, got {n}")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} node lines, found {len(lines) - 1}")
     out_edges: list[Optional[frozenset[int]]] = [None] * n
@@ -422,7 +424,7 @@ def gossip(network: Network, kappa: int,
     entire transmitter schedule once.  Audits that every node ends holding
     all n rumors, and returns the run's state."""
     if not is_strongly_connected(network):
-        raise NotStronglyConnectedError("gossip requires a strongly connected network")
+        raise NotStronglyConnectedError("network is not strongly connected")
     state = SimState(network)
     quasi_gossip(network, state, kappa, selector_provider)
     schedule = [(rec.phase, rec.transmitters) for rec in state.records]
@@ -436,9 +438,11 @@ def gossip(network: Network, kappa: int,
 
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:
-    """ceil((n * broadcast_rounds / log2 n)^(1/3)), kept within [1, n]."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    """ceil((n * broadcast_rounds / log2 n)^(1/3)), kept within [1, n]; 1 when n = 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        return 1
     if broadcast_rounds < 1:
         raise ValueError("broadcast_rounds must be at least 1")
     kappa = math.ceil((n * broadcast_rounds / math.log2(n)) ** (1.0 / 3.0))

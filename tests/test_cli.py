@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from permsel import build
+from permsel import build, radio
 from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected, save_network
 from permsel.selectors import load_selector, verify_permutation_selector
@@ -257,6 +257,15 @@ def test_bound_with_c_around_beta_underflow(capsys, c, last_line):
     assert out.splitlines()[-1] == last_line + " existence_certified=true"
 
 
+def test_bound_has_no_q(capsys):
+    # The certificate is computed for the k^2 length, so a -q that shrinks the
+    # printed m would certify a length it does not print.
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "-k", "4", "-N", "16", "-q", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -q 2" in capsys.readouterr().err
+
+
 def test_bound_rejects_c_whose_m_overflows(capsys):
     code, out, err = run(capsys, "bound", "-k", "4", "-N", "16", "-c", "1e308")
     assert (code, out) == (2, "")
@@ -348,10 +357,43 @@ def test_simulate_auto_refuses_over_budget_before_drawing(capsys, monkeypatch):
 
 
 def test_simulate_rejects_weakly_connected(tmp_path, capsys):
+    # gossip makes the one connectivity check; measuring kappa first broadcasts
+    # from node 0, which names the node it cannot reach.
     net_file = tmp_path / "weak.txt"
-    net_file.write_text("2\n0: 1\n1:\n", encoding="utf-8")
-    code, _, err = run(capsys, "simulate", "--network", str(net_file), "--auto")
-    assert code == 2 and "strongly connected" in err
+    for text, kappa, err in [
+        ("2\n0: 1\n1:\n", (), "error: network is not strongly connected\n"),
+        ("2\n0: 1\n1:\n", ("--kappa", "1"), "error: network is not strongly connected\n"),
+        ("3\n0: 1\n1: 0\n2: 0\n", ("--kappa", "1"), "error: network is not strongly connected\n"),
+        ("3\n0: 1\n1: 0\n2: 0\n", (), "error: node 2 is not reachable from source 0\n"),
+    ]:
+        net_file.write_text(text, encoding="utf-8")
+        assert run(capsys, "simulate", "--network", str(net_file), *kappa, "--auto") == (2, "", err)
+
+
+def test_simulate_checks_connectivity_once(capsys, monkeypatch):
+    calls = []
+    check = radio.is_strongly_connected
+    monkeypatch.setattr(radio, "is_strongly_connected", lambda g: calls.append(g) or check(g))
+    code, out, _ = run(capsys, "simulate", "--random", "8", "0.3", "42", "--auto")
+    assert code == 0 and "audit=pass" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kappa", [(), ("--kappa", "1")], ids=["measured", "kappa"])
+def test_simulate_refuses_an_empty_network(tmp_path, capsys, kappa):
+    net_file = tmp_path / "empty.txt"
+    net_file.write_text("0\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--network", str(net_file), *kappa, "--auto")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read network: ") and err.count("\n") == 1
+
+
+def test_simulate_one_node_network(tmp_path, capsys):
+    net_file = tmp_path / "one.txt"
+    net_file.write_text("1\n0:\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--network", str(net_file), "--auto")
+    assert (code, err) == (0, "")
+    assert out.startswith("kappa=1\n") and out.endswith("audit=pass\n")
 
 
 def test_simulate_rejects_repeated_out_label(tmp_path, capsys):

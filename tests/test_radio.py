@@ -82,6 +82,10 @@ def test_network_text_errors():
         network_from_text("2\n0: 1\n")
     with pytest.raises(ValueError):
         network_from_text("2\n0: 1\n0: 1\n")
+    for text in ("0\n", "-1\n"):
+        with pytest.raises(ValueError, match="at least 1 node"):
+            network_from_text(text)
+    assert network_from_text("1\n0:\n").n == 1
 
 
 def test_network_text_rejects_repeated_out_label():
@@ -216,6 +220,8 @@ def test_broadcast_unreachable_reports_node():
     with pytest.raises(UnreachableNodeError) as exc:
         broadcast(g, SimState(g), 0)
     assert exc.value.node == 2
+    # An unreachable node proves the network is not strongly connected.
+    assert isinstance(exc.value, NotStronglyConnectedError)
 
 
 def test_broadcast_unreachable_names_the_smallest_unreachable_node():
@@ -366,7 +372,7 @@ def test_gossip_deterministic():
 
 
 def test_gossip_rejects_weakly_connected():
-    with pytest.raises(NotStronglyConnectedError):
+    with pytest.raises(NotStronglyConnectedError, match="^network is not strongly connected$"):
         gossip(net({1}, set()), 1, cached_provider())
 
 
@@ -389,6 +395,10 @@ def test_choose_kappa_values():
     for n in (4, 16, 64):
         assert 1 <= choose_kappa(n, n * n) <= n
     assert choose_kappa(4, 1) <= choose_kappa(4, 50) <= choose_kappa(4, 5000)
+    # A one-node broadcast takes 0 rounds, and its kappa is 1.
+    assert choose_kappa(1, 0) == 1
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        choose_kappa(0, 1)
 
 
 def test_check_done_all_dormant():
