@@ -86,23 +86,25 @@ def substream_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def random_selector(k: int, universe_size: int, m: int, seed: int) -> Selector:
+def random_selector(k: int, universe_size: int, m: int, seed: int,
+                    prefix: Optional[Selector] = None) -> Selector:
     """m random sets over [0, universe_size), each label included independently
     with probability 1/k.
 
     Set index t draws from its own PCG64 sub-stream (spawn key (t,)), so the
-    length-m selector for a seed is a prefix of the length-(m+1) one.
+    length-m selector for a seed is a prefix of the length-(m+1) one.  prefix,
+    an earlier draw of the same (k, universe_size, seed), lends its first
+    min(m, len(prefix)) sets; only the sets after them are drawn.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if m < 0:
         raise ValueError("m must be non-negative")
     p = 1.0 / k
-    sets = []
-    for t in range(m):
+    sets = list(prefix.sets[:m]) if prefix is not None else []
+    for t in range(len(sets), m):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))))
-        members = np.flatnonzero(rng.random(universe_size) < p)
-        sets.append(frozenset(int(x) for x in members))
+        sets.append(frozenset(np.flatnonzero(rng.random(universe_size) < p).tolist()))
     return Selector(universe_size, tuple(sets))
 
 
@@ -177,6 +179,10 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
     up to the first that passes; the trials before it failed at that
     length, so they cannot pass at any smaller one and are dropped.
 
+    Each trial's longest draw so far is kept and lent to its later draws as
+    their prefix, so a set of a trial is drawn once per search however many
+    lengths are probed.
+
     A length over the verifier's budget is refused before anything is
     drawn.  That refusal is monotone in m too, so it ends the search like a
     pass: when the smallest length that does not fail is refused, the
@@ -184,6 +190,7 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
     """
     cap = _default_m(k, universe_size, config)
     seeds = [substream_seed(config.seed, j) for j in range(config.max_attempts)]
+    longest: dict[int, Selector] = {}
 
     def stops(m: int) -> bool:
         """Whether length m ends the search: it is over budget, or a trial
@@ -193,7 +200,9 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
         except BudgetExceededError:
             return True
         for i, s in enumerate(seeds):
-            selector = random_selector(k, universe_size, m, s)
+            selector = random_selector(k, universe_size, m, s, prefix=longest.get(s))
+            if m > len(longest.get(s, ())):
+                longest[s] = selector
             if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
                 del seeds[:i]
                 return True

@@ -11,6 +11,7 @@ PERMSEL_BUDGET overrides the verifiers' enumeration budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -89,14 +90,30 @@ def _ratio(bound: float, exact: Fraction) -> float:
         return float("inf")
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit, which exact values can pass
+    (`prob --ell 20000 -k 50`), and restore the previous limit after: `main`
+    also runs in-process."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7 there is no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def cmd_prob(args) -> int:
-    # Every line is built before any is printed: a huge numerator exceeds
-    # Python's int-to-str digit limit with a ValueError, and that must not
-    # leave partial output behind.
+    # Every line is built before any is printed, so a refused Monte-Carlo
+    # request leaves no partial output behind.
     blocks = args.k if args.q is None else args.q
     exact = coupon.p_jump_exact(args.ell, args.k, blocks)
     bound = _bound(args.ell, args.k, blocks)
-    parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
+    with _unlimited_int_digits():
+        parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
     if bound is not None:
         ratio = _ratio(bound, exact)
         parts.append(f"p_bound={bound!r}")
@@ -166,10 +183,11 @@ def cmd_sweep(args) -> int:
     exacts = coupon.p_jump_sweep(args.k, blocks, args.ell_min, args.ell_max)
     q_col = "" if args.q is None else str(args.q)
     lines = ["ell,k,q,exact_num,exact_den,bound"]
-    for ell, exact in zip(range(args.ell_min, args.ell_max + 1), exacts):
-        bound = _bound(ell, args.k, blocks)
-        b_col = "" if bound is None else repr(bound)
-        lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
+    with _unlimited_int_digits():
+        for ell, exact in zip(range(args.ell_min, args.ell_max + 1), exacts):
+            bound = _bound(ell, args.k, blocks)
+            b_col = "" if bound is None else repr(bound)
+            lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -41,9 +41,15 @@ from .selectors import Selector
 # network
 # ---------------------------------------------------------------------------
 
+def _check_node_count(n: int) -> None:
+    """A network has at least one node."""
+    if n < 1:
+        raise ValueError(f"a network needs at least 1 node, got {n}")
+
+
 @dataclass(frozen=True)
 class Network:
-    """Directed graph on nodes 0..n-1.  Self-loops may be present in
+    """Directed graph on nodes 0..n-1, n >= 1.  Self-loops may be present in
     out_edges but are ignored by the delivery rule."""
 
     out_edges: tuple[frozenset[int], ...]
@@ -51,6 +57,7 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "out_edges", tuple(frozenset(s) for s in self.out_edges))
         n = len(self.out_edges)
+        _check_node_count(n)
         for v, outs in enumerate(self.out_edges):
             for w in outs:
                 if not 0 <= w < n:
@@ -80,8 +87,8 @@ def network_from_text(text: str) -> Network:
     if not lines:
         raise ValueError("empty network file")
     n = int(lines[0])
-    if n < 1:
-        raise ValueError(f"a network needs at least 1 node, got {n}")
+    # The header is checked before the lines it counts.
+    _check_node_count(n)
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} node lines, found {len(lines) - 1}")
     out_edges: list[Optional[frozenset[int]]] = [None] * n
@@ -148,8 +155,8 @@ def is_strongly_connected(network: Network) -> bool:
     """Every node reaches node 0 and node 0 reaches every node (self-loops,
     absent from `in_neighbors`, do not affect reachability)."""
     n = network.n
-    return n <= 1 or (len(_reachable(network.out_edges, 0)) == n
-                      and len(_reachable(network.in_neighbors, 0)) == n)
+    return (len(_reachable(network.out_edges, 0)) == n
+            and len(_reachable(network.in_neighbors, 0)) == n)
 
 
 # ---------------------------------------------------------------------------

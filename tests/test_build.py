@@ -97,6 +97,14 @@ def test_random_selector_prefix_property():
     assert long.sets[:5] == short.sets
 
 
+@pytest.mark.parametrize("m", [0, 1, 6])
+@pytest.mark.parametrize("m2", [0, 1, 3, 6, 9])
+def test_random_selector_from_a_prefix_is_the_fresh_draw(m, m2):
+    # An earlier draw lends its sets whether it is shorter, as long or longer.
+    prefix = random_selector(3, 10, m2, seed=9)
+    assert random_selector(3, 10, m, seed=9, prefix=prefix) == random_selector(3, 10, m, seed=9)
+
+
 def test_random_selector_k1_includes_everything():
     s = random_selector(1, 6, 3, seed=0)
     assert all(set_ == frozenset(range(6)) for set_ in s.sets)

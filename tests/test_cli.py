@@ -1,8 +1,9 @@
 from fractions import Fraction
+import sys
 
 import pytest
 
-from permsel import build, radio
+from permsel import build, coupon, radio
 from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected, save_network
 from permsel.selectors import load_selector, verify_permutation_selector
@@ -203,10 +204,39 @@ def test_prob_negative_trials_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_prob_huge_exact_value_exits_2(capsys):
-    # The numerator has more digits than Python converts to a string.
+def decimal_digits(text):
+    """The int a long decimal string spells, read past Python's digit limit."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_prob_huge_exact_value_prints_in_full(capsys):
+    # The numerator has more digits than Python converts to a string by
+    # default; the limit is lifted for the output and restored after.
+    limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "prob", "--ell", "20000", "-k", "50")
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    fields = out.split(" ")
+    num, den = fields[0].removeprefix("p_exact=").split("/")
+    assert len(num) > limit and len(den) > limit
+    exact = coupon.p_jump_exact(20000, 50, 50)
+    assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
+    assert fields[1].startswith("p_bound=") and fields[2].startswith("ratio=")
+
+
+def test_sweep_huge_exact_value_prints_in_full(capsys):
+    # The denominator divides 50^2600, which has 4418 digits.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "sweep", "-k", "50", "--ell-min", "2600", "--ell-max", "2600")
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    ell, k, q, num, den, bound = out.splitlines()[1].split(",")
+    assert (ell, k, q) == ("2600", "50", "") and len(den) > limit and float(bound) > 0
+    [exact] = coupon.p_jump_sweep(50, 50, 2600, 2600)
+    assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
 
 
 def test_prob_ratio_when_exact_value_underflows_a_float(capsys):

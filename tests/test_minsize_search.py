@@ -12,6 +12,7 @@ from dataclasses import replace
 import itertools
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from permsel import build
@@ -110,9 +111,9 @@ def count_calls(monkeypatch):
     """Record build's draws (as their lengths) and verifies, in call order."""
     calls = []
 
-    def draw(k, n, m, seed):
+    def draw(k, n, m, seed, prefix=None):
         calls.append(m)
-        return random_selector(k, n, m, seed)
+        return random_selector(k, n, m, seed, prefix=prefix)
 
     def check(*args):
         calls.append("verify")
@@ -150,3 +151,19 @@ def test_refused_length_is_not_drawn(monkeypatch):
         minimal_m_search(3, 6, config)
     assert_each_draw_verified_once(calls)
     assert max(calls[::2]) == 19
+
+
+def test_search_draws_each_set_once(monkeypatch):
+    # Every set of every trial is one (entropy, spawn_key) sub-stream; the
+    # search builds each at most once across all the lengths it probes.
+    built = []
+    real = np.random.SeedSequence
+
+    def seed_sequence(entropy=None, *, spawn_key=()):
+        built.append((entropy, tuple(spawn_key)))
+        return real(entropy, spawn_key=spawn_key)
+
+    monkeypatch.setattr(build.np.random, "SeedSequence", seed_sequence)
+    config = BuildConfig(seed=5, target="permutation", size_mode="up_to", max_attempts=3)
+    assert minimal_m_search(3, 6, config) == 44
+    assert len(built) > 44 and len(set(built)) == len(built)

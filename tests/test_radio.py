@@ -88,6 +88,13 @@ def test_network_text_errors():
     assert network_from_text("1\n0:\n").n == 1
 
 
+def test_network_needs_a_node():
+    # Network owns the rule, so API callers meet it as the parser does.
+    with pytest.raises(ValueError, match="a network needs at least 1 node, got 0"):
+        Network(())
+    assert Network((frozenset(),)).n == 1
+
+
 def test_network_text_rejects_repeated_out_label():
     with pytest.raises(ValueError, match="node 0 repeats an out-label"):
         network_from_text("2\n0: 1 1\n1: 0\n")
