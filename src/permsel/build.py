@@ -179,9 +179,9 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
     up to the first that passes; the trials before it failed at that
     length, so they cannot pass at any smaller one and are dropped.
 
-    Each trial's longest draw so far is kept and lent to its later draws as
-    their prefix, so a set of a trial is drawn once per search however many
-    lengths are probed.
+    A live trial is [seed, longest draw so far], the draw lent to the
+    trial's later draws as their prefix, so a set of a trial is drawn once
+    per search however many lengths are probed; a dropped trial takes it along.
 
     A length over the verifier's budget is refused before anything is
     drawn.  That refusal is monotone in m too, so it ends the search like a
@@ -189,8 +189,8 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
     refusal is raised, as a scan from m = 1 would raise it.
     """
     cap = _default_m(k, universe_size, config)
-    seeds = [substream_seed(config.seed, j) for j in range(config.max_attempts)]
-    longest: dict[int, Selector] = {}
+    trials = [[substream_seed(config.seed, j), Selector(universe_size, ())]
+              for j in range(config.max_attempts)]
 
     def stops(m: int) -> bool:
         """Whether length m ends the search: it is over budget, or a trial
@@ -199,12 +199,12 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
             _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
         except BudgetExceededError:
             return True
-        for i, s in enumerate(seeds):
-            selector = random_selector(k, universe_size, m, s, prefix=longest.get(s))
-            if m > len(longest.get(s, ())):
-                longest[s] = selector
+        for i, (seed, longest) in enumerate(trials):
+            selector = random_selector(k, universe_size, m, seed, prefix=longest)
+            if m > len(longest):
+                trials[i][1] = selector
             if verify(selector, k, config.target, config.q, config.size_mode, config.budget).ok:
-                del seeds[:i]
+                del trials[:i]
                 return True
         return False
 

@@ -42,11 +42,11 @@ from .errors import BudgetExceededError
 # Ceiling on k**ell for the enumeration oracles.
 DEFAULT_ENUM_BUDGET = 2**24
 
-# Trials per Monte-Carlo chunk: the draws of one chunk take
-# MC_CHUNK * ell * 8 bytes (MC_CHUNK * m * k * 8 in the tail estimate).
-# Rows drawn chunk by chunk from one generator are the rows of one big
-# draw, so estimates do not depend on it.
+# Trials per Monte-Carlo chunk, fewer (but one at least) where a chunk would
+# hold more than MC_MAX_ELEMENTS draws of 8 bytes.  Rows drawn chunk by chunk
+# from one generator are the rows of one big draw, so estimates do not change.
 MC_CHUNK = 4096
+MC_MAX_ELEMENTS = 2**22
 
 
 def _validate_ell_k(ell: int, k: int) -> None:
@@ -209,8 +209,8 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
     binomial standard error.  Unlike the exact forms, any q <= k is allowed;
     uneven blocks follow `jump_blocks`.
 
-    Trials are drawn and scanned MC_CHUNK at a time, so memory is
-    O(MC_CHUNK * ell) whatever the number of trials.
+    Trials are drawn and scanned in chunks (see MC_CHUNK), so memory is
+    O(max(MC_MAX_ELEMENTS, ell)) whatever the number of trials.
     """
     _validate_ell_k(ell, k)
     if trials < 1:
@@ -223,8 +223,9 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
         block_of[list(block)] = h
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     misses = 0
-    for start in range(0, trials, MC_CHUNK):
-        rows = min(MC_CHUNK, trials - start)
+    chunk = max(1, min(MC_CHUNK, MC_MAX_ELEMENTS // ell))
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
         # `take` returns a C-ordered array: row j holds the block of letter
         # j of every trial of the chunk, contiguous.
         blocks = block_of.take(rng.integers(0, k, size=(rows, ell)).T)
@@ -275,7 +276,7 @@ def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple
 
     Isolation of X = {0..k-1} depends only on the k membership draws inside
     X, so only those columns are simulated; the universe size is irrelevant.
-    Trials are drawn MC_CHUNK at a time, as in `p_monte_carlo`.
+    Trials, m * k draws each, are drawn in chunks as in `p_monte_carlo`.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -286,8 +287,9 @@ def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     threshold = m // 4
     hits = 0
-    for start in range(0, trials, MC_CHUNK):
-        draws = rng.random((min(MC_CHUNK, trials - start), m, k)) < 1.0 / k
+    chunk = max(1, min(MC_CHUNK, MC_MAX_ELEMENTS // (m * k)))
+    for start in range(0, trials, chunk):
+        draws = rng.random((min(chunk, trials - start), m, k)) < 1.0 / k
         h = (draws.sum(axis=2) == 1).sum(axis=1)
         hits += int(np.count_nonzero(h <= threshold))
     freq = hits / trials

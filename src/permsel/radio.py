@@ -49,13 +49,15 @@ def _check_node_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class Network:
-    """Directed graph on nodes 0..n-1, n >= 1.  Self-loops may be present in
-    out_edges but are ignored by the delivery rule."""
+    """Directed graph on nodes 0..n-1, n >= 1.  An input self-loop is
+    accepted and dropped from out_edges, because a node never delivers to
+    itself."""
 
     out_edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "out_edges", tuple(frozenset(s) for s in self.out_edges))
+        object.__setattr__(self, "out_edges",
+                           tuple(frozenset(s) - {v} for v, s in enumerate(self.out_edges)))
         n = len(self.out_edges)
         _check_node_count(n)
         for v, outs in enumerate(self.out_edges):
@@ -65,8 +67,7 @@ class Network:
         in_nbrs = [set() for _ in range(n)]
         for u, outs in enumerate(self.out_edges):
             for v in outs:
-                if v != u:
-                    in_nbrs[v].add(u)
+                in_nbrs[v].add(u)
         object.__setattr__(self, "in_neighbors", tuple(frozenset(s) for s in in_nbrs))
 
     @property
@@ -130,11 +131,10 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Netw
         for i in range(n):
             out_edges[perm[i]].add(perm[(i + 1) % n])
         # One row of draws per u consumes the stream exactly as one (n, n)
-        # draw would, in O(n) memory.
+        # draw would, in O(n) memory.  Network drops a drawn self-loop.
         for u in range(n):
-            extras = np.flatnonzero(rng.random(n) < extra_edge_prob).tolist()
-            out_edges[u].update(v for v in extras if v != u)
-    return Network(tuple(frozenset(s) for s in out_edges))
+            out_edges[u].update(np.flatnonzero(rng.random(n) < extra_edge_prob).tolist())
+    return Network(tuple(out_edges))
 
 
 def _reachable(out_edges: Sequence[frozenset[int]], start: int) -> set[int]:
@@ -152,8 +152,7 @@ def _reachable(out_edges: Sequence[frozenset[int]], start: int) -> set[int]:
 
 
 def is_strongly_connected(network: Network) -> bool:
-    """Every node reaches node 0 and node 0 reaches every node (self-loops,
-    absent from `in_neighbors`, do not affect reachability)."""
+    """Every node reaches node 0 and node 0 reaches every node."""
     n = network.n
     return (len(_reachable(network.out_edges, 0)) == n
             and len(_reachable(network.in_neighbors, 0)) == n)
@@ -241,21 +240,18 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
 
     Each message is the transmitter's full rumor set as it was at the start
     of the round: every message is read before any receiver's set grows.
+    A transmitter label outside [0, n) raises before the state changes.
     """
     tx = frozenset(transmitters)
+    # A reached node's one sender, or None once a second sender reaches it.
+    sender: dict[int, Optional[int]] = {}
     for u in tx:
         if not 0 <= u < network.n:
             raise ValueError(f"unknown transmitter label {u}")
-    count: dict[int, int] = {}
-    sender: dict[int, int] = {}
-    for u in tx:
         for v in network.out_edges[u]:
-            if v == u:
-                continue
-            count[v] = count.get(v, 0) + 1
-            sender[v] = u
-    received = tuple(sorted((v, sender[v]) for v, c in count.items() if c == 1))
-    collisions = frozenset(v for v, c in count.items() if c >= 2)
+            sender[v] = None if v in sender else u
+    received = tuple(sorted((v, u) for v, u in sender.items() if u is not None))
+    collisions = frozenset(v for v, u in sender.items() if u is None)
     held = state.rumors_held
     msgs = [held[u] for _, u in received]
     for (v, _), msg in zip(received, msgs):
@@ -274,8 +270,6 @@ def audit_trace(network: Network, state: SimState) -> bool:
         sender: dict[int, int] = {}
         for u in rec.transmitters:
             for v in network.out_edges[u]:
-                if v == u:
-                    continue
                 count[v] = count.get(v, 0) + 1
                 sender[v] = u
         received = tuple(sorted((v, sender[v]) for v, c in count.items() if c == 1))
@@ -477,8 +471,8 @@ def active_path_ell(network: Network, state: SimState, kappa: int) -> int:
         return n
     act_in = {v: frozenset(u for u in network.in_neighbors[v] if state.active >> u & 1)
               for v in active}
-    act_out = {v: sorted(w for w in network.out_edges[v]
-                         if w != v and state.active >> w & 1) for v in active}
+    act_out = {v: sorted(w for w in network.out_edges[v] if state.active >> w & 1)
+               for v in active}
     best: Optional[int] = None  # shortest violating path length found
     expansions = 0
 

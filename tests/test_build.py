@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_size_params_rejections():
 def test_smallest_c_rejects_bad_beta():
     with pytest.raises(ValueError):
         smallest_c(1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: random_selector(0, 4, 3, seed=0), "k must be at least 1"),
+    (lambda: random_selector(2, 4, -1, seed=0), "m must be non-negative"),
+    (lambda: smallest_c(0.999), "no c on the grid satisfies c*beta^c < 1/16 for beta=0.999"),
+], ids=["k-zero", "m-negative", "no-c-on-grid"])
+def test_build_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

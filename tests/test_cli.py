@@ -418,6 +418,34 @@ def test_simulate_refuses_an_empty_network(tmp_path, capsys, kappa):
     assert err.startswith("error: cannot read network: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kappa", [(), ("--kappa", "2")], ids=["measured", "kappa"])
+def test_simulate_ignores_self_loops(tmp_path, capsys, kappa):
+    # A node never hears itself, so a self-loop on every node changes nothing.
+    results = []
+    for name, text in [("plain", "4\n0: 1 2\n1: 2\n2: 3\n3: 0 1\n"),
+                       ("loops", "4\n0: 0 1 2\n1: 2 1\n2: 2 3\n3: 0 3 1\n")]:
+        net_file, trace = tmp_path / f"{name}.net", tmp_path / f"{name}.trace"
+        net_file.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--network", str(net_file), *kappa, "--auto",
+                             "--trace", str(trace))
+        assert (code, err) == (0, "") and "audit=pass" in out
+        results.append((out, trace.read_bytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("--network", "{blank}"), "error: cannot read network: empty network file\n"),
+    (("--random", "5", "1.5", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
+    (("--random", "5", "-0.1", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
+    (("--random", "0", "0.5", "1"), "error: n must be at least 1\n"),
+], ids=["blank-file", "p-above-1", "p-below-0", "n-zero"])
+def test_simulate_refuses_a_bad_network_request(tmp_path, capsys, argv, err):
+    blank = tmp_path / "blank.net"
+    blank.write_text("\n", encoding="utf-8")
+    argv = [a.format(blank=blank) for a in argv]
+    assert run(capsys, "simulate", *argv, "--auto") == (2, "", err)
+
+
 def test_simulate_one_node_network(tmp_path, capsys):
     net_file = tmp_path / "one.txt"
     net_file.write_text("1\n0:\n", encoding="utf-8")

@@ -2,17 +2,21 @@ import math
 from fractions import Fraction
 from itertools import product
 from math import comb
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsel import coupon
 from permsel.coupon import (
     DEFAULT_ENUM_BUDGET,
     MC_CHUNK,
     chernoff_tail,
     chernoff_tail_empirical,
+    isolation_gamma,
     jump_blocks,
     p_bound,
     p_bruteforce,
@@ -276,6 +280,31 @@ def test_monte_carlo_large_draws_are_pinned(args, trials, seed, expected):
     assert p_monte_carlo(*args, trials=trials, seed=seed) == expected
 
 
+def test_monte_carlo_memory_is_bounded_by_elements(monkeypatch):
+    # Ten trials of 4000 draws in one chunk peak near 700 kB in p_monte_carlo;
+    # the cap 2**12 leaves one trial per chunk.
+    monkeypatch.setattr(coupon, "MC_MAX_ELEMENTS", 2**12)
+    for call in (lambda: p_monte_carlo(4000, 4, trials=10, seed=1),
+                 lambda: chernoff_tail_empirical(400, 10, trials=10, seed=1)):
+        call()  # numpy's first-use allocations are not the draws'
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000
+
+
+@pytest.mark.parametrize("max_elements", [1, 10, 100])
+def test_monte_carlo_short_chunks_match_one_draw(monkeypatch, max_elements):
+    tail = chernoff_tail_empirical(40, 2, 1001, 1002)
+    monkeypatch.setattr(coupon, "MC_MAX_ELEMENTS", max_elements)
+    for ell, k, q, trials, seed in [(9, 4, None, 301, 1), (16, 10, 4, 97, 4)]:
+        assert p_monte_carlo(ell, k, q, trials, seed) == one_draw_monte_carlo(ell, k, q, trials, seed)
+    assert chernoff_tail_empirical(40, 2, 1001, 1002) == tail
+
+
 def test_monte_carlo_jump():
     est, se = p_monte_carlo(2, 4, q=2, trials=100_000, seed=6)
     assert abs(est - 0.75) <= 3 * se
@@ -326,6 +355,26 @@ def test_chernoff_tail_empirical_under_bound():
     freq, _ = chernoff_tail_empirical(40, 2, trials=100_000, seed=12)
     bound = chernoff_tail(40, 2)
     assert freq <= bound + 3 * math.sqrt(bound * (1 - bound) / 100_000)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: p_jump_bound(5, 4, 0), "q must be at least 1"),
+    (lambda: jump_blocks(4, 0), "q must be in [1, k], got 0"),
+    (lambda: jump_blocks(4, 5), "q must be in [1, k], got 5"),
+    (lambda: isolation_gamma(1), "gamma is defined for k >= 2"),
+    (lambda: chernoff_tail(-1, 3), "m must be non-negative"),
+    (lambda: chernoff_tail_empirical(0, 2, 10), "m must be at least 1"),
+    (lambda: chernoff_tail_empirical(4, 1, 10), "k must be at least 2"),
+    (lambda: chernoff_tail_empirical(4, 2, 0), "trials must be at least 1"),
+    (lambda: union_bound_value(1, 16, 30.0), "k must be at least 2"),
+    (lambda: union_bound_value(2, 1, 30.0), "universe size must be at least 2"),
+    (lambda: union_bound_value(2, 16, 0.0), "c must be positive"),
+], ids=["bound-q-zero", "blocks-q-zero", "blocks-q-above-k", "gamma-k1", "tail-m-negative",
+        "empirical-m-zero", "empirical-k1", "empirical-no-trials", "union-k1", "union-n1",
+        "union-c-zero"])
+def test_coupon_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_union_bound_certifies_derived_c():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,7 +100,8 @@ def test_network_needs_a_node():
 def test_network_text_rejects_repeated_out_label():
     with pytest.raises(ValueError, match="node 0 repeats an out-label"):
         network_from_text("2\n0: 1 1\n1: 0\n")
-    assert network_from_text("2\n0: 1 0\n1:\n").out_edges == (frozenset({0, 1}), frozenset())
+    # The self-loop is accepted and dropped: a node never hears itself.
+    assert network_from_text("2\n0: 1 0\n1:\n").out_edges == (frozenset({1}), frozenset())
 
 
 def test_random_cycle_and_complete():
@@ -173,6 +176,35 @@ def test_step_self_transmission_is_inert():
     assert rec.received == () and rec.collisions == frozenset()
 
 
+def test_step_ignores_self_loops():
+    # Every node has a self-loop, which Network drops: a lone transmitter
+    # reaches only its other out-neighbors, two transmitters that reach each
+    # other each hear the other, and a node never collides with itself.
+    g = net({0, 1, 2}, {0, 1, 2}, {2})
+    assert g.out_edges == (frozenset({1, 2}), frozenset({0, 2}), frozenset())
+    st = SimState(g)
+    rec = step(g, st, {0})
+    assert rec.received == ((1, 0), (2, 0)) and rec.collisions == frozenset()
+    rec = step(g, st, {0, 1})
+    assert rec.received == ((0, 1), (1, 0)) and rec.collisions == frozenset({2})
+    rec = step(g, st, {2})
+    assert rec.received == () and rec.collisions == frozenset()
+    assert st.rumors_held == [0b011, 0b011, 0b101]
+    assert audit_trace(g, st)
+
+
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_step_refuses_a_bad_label_before_any_change(bad):
+    # Node 0 is walked before the bad label is met; nothing is delivered,
+    # recorded or charged.
+    g = net({1}, {0})
+    st = SimState(g)
+    with pytest.raises(ValueError, match=f"^unknown transmitter label {bad}$"):
+        step(g, st, [0, bad])
+    assert st.rumors_held == [0b01, 0b10]
+    assert (st.records, st.round, st.phase_rounds) == ([], 0, {})
+
+
 def test_step_messages_snapshot_at_round_start():
     # 0 -> 1 -> 2 transmitting together: 2 must get 1's pre-round rumors only.
     g = net({1}, {2}, set())
@@ -186,6 +218,34 @@ def test_step_rejects_unknown_label():
     g = net(set(),)
     with pytest.raises(ValueError):
         step(g, SimState(g), {3})
+
+
+def altered_record_audit():
+    g = net({1}, {0})
+    st = SimState(g)
+    step(g, st, {0})
+    st.records[0] = dataclasses.replace(st.records[0], received=())
+    return audit_trace(g, st)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: network_from_text(""), "empty network file"),
+    (lambda: network_from_text("\n \n"), "empty network file"),
+    (lambda: network_from_text("2\n5: 0\n1: 0\n"), "node label 5 outside [0, 2)"),
+    (lambda: random_strongly_connected(0, 0.5, 1), "n must be at least 1"),
+    (lambda: random_strongly_connected(5, 1.5, 1), "extra_edge_prob must be in [0, 1]"),
+    (lambda: random_strongly_connected(5, -0.1, 1), "extra_edge_prob must be in [0, 1]"),
+    (lambda: broadcast(net({1}, {0}), SimState(net({1}, {0})), 2), "unknown source label 2"),
+    (lambda: disperse(net({1}, {0}), SimState(net({1}, {0})), 0), "mu must be at least 1"),
+    (lambda: quasi_gossip(net({1}, {0}), SimState(net({1}, {0})), 0, cached_provider()),
+     "kappa must be at least 1"),
+    (lambda: choose_kappa(5, 0), "broadcast_rounds must be at least 1"),
+    (altered_record_audit, "round 0: trace inconsistent with the collision rule"),
+], ids=["blank-file", "blank-lines", "label-out-of-range", "n-zero", "p-above-1", "p-below-0",
+        "source-n", "mu-zero", "kappa-zero", "no-broadcast-rounds", "altered-record"])
+def test_radio_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rumor_conservation():

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations, product
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,16 @@ def sel(n, *sets):
 
 def singleton_selector(n, passes=1):
     return Selector(n, tuple(frozenset({x}) for _ in range(passes) for x in range(n)))
+
+
+@pytest.mark.parametrize("n,sets,message", [
+    (-1, (), "universe_size must be non-negative"),
+    (3, ({0}, {3}), "set 1 contains label 3 outside [0, 3)"),
+    (3, ({-1},), "set 0 contains label -1 outside [0, 3)"),
+], ids=["negative-universe", "label-above", "label-below"])
+def test_selector_refusals(n, sets, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Selector(n, sets)
 
 
 # ---------------------------------------------------------------------------
