@@ -3,9 +3,7 @@
 
 from permsel import (
     Selector,
-    isolates,
-    isolates_permutation,
-    isolation_trace,
+    verify,
     verify_kq_permutation_selector,
     verify_kq_selector,
     verify_permutation_selector,
@@ -15,26 +13,26 @@ from permsel import (
 print("=" * 64)
 print("Isolation: a set S isolates x from X when S & X == {x}")
 print("=" * 64)
-
-print("isolates({2,5}, {5,7})   ->", isolates({2, 5}, {5, 7}))
-print("isolates({2,5}, {2,5,9}) ->", isolates({2, 5}, {2, 5, 9}), "(intersection too big)")
-print("isolates({},    {0})     ->", isolates(set(), {0}), "(empty intersection)")
+print("Over N=3 with k=3 the one target set is X={0,1,2}: the (k,q) check")
+print("at q=1 of the one-set selector (S) asks whether S isolates some x.")
+for s, note in (({0}, ""), ({0, 1}, "(intersection too big)"), (set(), "(empty intersection)")):
+    one = Selector(3, (frozenset(s),))
+    print(f"  S={sorted(s)!s:<7} -> {verify(one, 3, 'kq', 1).format()} {note}".rstrip())
 
 print()
 print("=" * 64)
-print("A selector is an ordered sequence of sets; its trace against X")
-print("lists every (time, isolated element) event in order")
+print("A selector is an ordered sequence of sets; S_t isolates elements")
+print("of X at time t, and X is isolated in an order when that order")
+print("appears among the isolated elements as time goes on")
 print("=" * 64)
 
 sel = Selector(2, (frozenset({0}), frozenset({1}), frozenset({0})))
 print("selector over {0,1}:", [sorted(s) for s in sel.sets])
-print("trace against X={0,1}:", isolation_trace(sel, {0, 1}))
-
-print()
-print("The ordered property: X must be isolated in a REQUESTED order,")
-print("i.e. the order must appear as a subsequence of the trace labels.")
-for order in ((0, 1), (1, 0)):
-    print(f"  order {order}: isolated in order? {isolates_permutation(sel, order)}")
+print("X={0,1}: 0 is isolated at times 0 and 2, 1 at time 1.  The permutation")
+print("check of each prefix names the first order of X it misses:")
+for t in range(1, len(sel) + 1):
+    prefix = Selector(2, sel.sets[:t])
+    print(f"  first {t} set(s): {verify_permutation_selector(prefix, 2).format()}")
 
 print()
 print("=" * 64)

@@ -1,31 +1,27 @@
 #!/usr/bin/env python3
 """The coupon-subsequence probabilities behind the size analysis: exact
-rationals, enumeration cross-checks, analytic bounds, and Monte Carlo."""
-
-from fractions import Fraction
+rationals, the recurrence sweep, analytic bounds, and Monte Carlo."""
 
 from permsel import (
-    chernoff_tail,
-    chernoff_tail_empirical,
     p_bound,
-    p_bruteforce,
     p_exact,
     p_jump_bound,
     p_jump_exact,
     p_monte_carlo,
 )
+from permsel.coupon import p_jump_sweep
 
 print("=" * 70)
 print("P[uniform length-ell sequence over {0..k-1} misses 0,1,...,k-1")
-print("as a subsequence]  --  exact rational vs enumeration vs bound")
+print("as a subsequence]  --  closed form vs recurrence sweep vs bound")
 print("=" * 70)
-print(f"{'ell':>4} {'k':>3} {'exact':>12} {'enumerated':>12} {'bound':>10}")
+print(f"{'ell':>4} {'k':>3} {'exact':>12} {'swept':>12} {'bound':>10}")
 for k in (2, 3):
-    for ell in range(k, k + 6):
+    # The plain pattern is the jump pattern with q = k blocks.
+    for ell, swept in zip(range(k, k + 6), p_jump_sweep(k, k, k, k + 5)):
         exact = p_exact(ell, k)
-        brute = p_bruteforce(ell, k)
-        assert exact == brute
-        print(f"{ell:>4} {k:>3} {str(exact):>12} {str(brute):>12} {p_bound(ell, k):>10.4f}")
+        assert exact == swept
+        print(f"{ell:>4} {k:>3} {str(exact):>12} {str(swept):>12} {p_bound(ell, k):>10.4f}")
 
 print()
 print("ell < k means the pattern cannot fit, so the miss probability is 1:")
@@ -51,13 +47,3 @@ for ell, k, q in ((3, 2, None), (2, 4, 2)):
     est, se = p_monte_carlo(ell, k, q, trials=100_000, seed=5)
     print(f"  ell={ell} k={k} q={q}: exact={float(exact):.4f}"
           f"  estimate={est:.4f} +- {se:.4f}")
-
-print()
-print("=" * 70)
-print("Isolation-count tail: the bound alpha^m vs simulated frequency of")
-print("h <= m/4 isolating sets in a random length-m selector")
-print("=" * 70)
-for k, m in ((2, 40), (3, 60)):
-    bound = chernoff_tail(m, k)
-    freq, se = chernoff_tail_empirical(m, k, trials=50_000, seed=9)
-    print(f"  k={k} m={m}: bound={bound:.4f}  empirical={freq:.5f} (+- {se:.5f})")

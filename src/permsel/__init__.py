@@ -1,5 +1,5 @@
-"""Permutation selectors: construction, verification, probability oracles,
-and a radio-network gossip simulator."""
+"""Permutation selectors: construction, verification, the coupon-subsequence
+probabilities behind their size, and a radio-network gossip simulator."""
 
 from .build import (
     BuildConfig,
@@ -10,13 +10,9 @@ from .build import (
     random_selector,
 )
 from .coupon import (
-    chernoff_tail,
-    chernoff_tail_empirical,
     p_bound,
-    p_bruteforce,
     p_exact,
     p_jump_bound,
-    p_jump_bruteforce,
     p_jump_exact,
     p_monte_carlo,
     union_bound_value,
@@ -33,7 +29,6 @@ from .errors import (
 from .radio import (
     Network,
     SimState,
-    active_path_ell,
     broadcast,
     check_quasi_gossip_done,
     choose_kappa,
@@ -48,9 +43,6 @@ from .selectors import (
     VERIFY_TARGETS,
     Selector,
     Verdict,
-    isolates,
-    isolates_permutation,
-    isolation_trace,
     lis_length,
     load_selector,
     save_selector,

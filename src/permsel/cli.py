@@ -6,6 +6,12 @@ Every run is fully determined by its flags (all randomness flows from
 unreadable input or unwritable output file, or a refused work budget;
 `main` alone maps exceptions to them.  The environment variable
 PERMSEL_BUDGET overrides the verifiers' enumeration budget.
+
+`simulate` prints `audit=pass` once `gossip` returns, which it does only
+when its own postconditions held: quasi-gossip's done check, the in-degree
+reduction after Disperse(kappa), and the completeness check after the
+replay.  No trace audit runs here; `audit_trace`, which re-derives every
+delivery from the topology, is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Exact and empirical oracles for the coupon-subsequence probabilities.
+"""Exact values, bounds and estimates of the coupon-subsequence probabilities.
 
 For a uniform random sequence of length ell over the alphabet {0..k-1},
 `p_exact` is the probability that 0,1,...,k-1 does NOT occur as a
 subsequence; `p_jump_exact` is the same for "jump" subsequences that pick
 one symbol from each of q consecutive equal blocks of the alphabet, in
-block order.  Every closed form is paired with an enumeration oracle and a
-floating-point upper bound, plus Monte-Carlo estimators.
+block order.  Every closed form has a floating-point upper bound and a
+Monte-Carlo estimator.
 
 All exact values are `fractions.Fraction`s computed in integer arithmetic;
 floats appear only in the bounds and estimators.
@@ -37,14 +37,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError
-
-# Ceiling on k**ell for the enumeration oracles.
-DEFAULT_ENUM_BUDGET = 2**24
-
 # Trials per Monte-Carlo chunk, fewer (but one at least) where a chunk would
-# hold more than MC_MAX_ELEMENTS draws of 8 bytes.  Rows drawn chunk by chunk
-# from one generator are the rows of one big draw, so estimates do not change.
+# hold more than MC_MAX_ELEMENTS draws.  A chunk peaks at about 9 bytes per
+# draw: the 8-byte draw and its one-byte blocks (two-byte past 255 blocks).
+# Rows drawn chunk by chunk from one generator are the rows of one big draw,
+# so estimates do not change.
 MC_CHUNK = 4096
 MC_MAX_ELEMENTS = 2**22
 
@@ -126,37 +123,6 @@ def _sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracles
-# ---------------------------------------------------------------------------
-
-def _count_missing(ell: int, k: int, target_of_symbol: np.ndarray, goal: int,
-                   budget: int) -> int:
-    """Count sequences in {0..k-1}^ell whose greedy scan through
-    target_of_symbol never reaches `goal` stages."""
-    total = k**ell
-    if total > budget:
-        raise BudgetExceededError(f"k^ell = {total} exceeds enumeration budget {budget}")
-    idx = np.arange(total, dtype=np.int64)
-    state = np.zeros(total, dtype=np.int64)
-    for j in range(ell):
-        column = (idx // k ** (ell - 1 - j)) % k
-        state += target_of_symbol[column] == state
-    return int(np.count_nonzero(state < goal))
-
-
-def p_bruteforce(ell: int, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """p_exact by enumerating all k^ell sequences with a greedy scan."""
-    return p_jump_bruteforce(ell, k, k, budget)
-
-
-def p_jump_bruteforce(ell: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """p_jump_exact by enumeration; symbol s belongs to block s // (k/q)."""
-    _validate_jump(ell, k, q)
-    block_of = np.arange(k, dtype=np.int64) // (k // q)
-    return Fraction(_count_missing(ell, k, block_of, q, budget), k**ell)
-
-
-# ---------------------------------------------------------------------------
 # upper bounds
 # ---------------------------------------------------------------------------
 
@@ -226,9 +192,10 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
     chunk = max(1, min(MC_CHUNK, MC_MAX_ELEMENTS // ell))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
-        # `take` returns a C-ordered array: row j holds the block of letter
-        # j of every trial of the chunk, contiguous.
-        blocks = block_of.take(rng.integers(0, k, size=(rows, ell)).T)
+        # Gathering on the draw as drawn frees it before the one-byte blocks
+        # are transposed: row j then holds the block of letter j of every
+        # trial of the chunk, contiguous.
+        blocks = np.ascontiguousarray(block_of.take(rng.integers(0, k, size=(rows, ell))).T)
         state = np.zeros(rows, dtype=stage_type)
         for letter_blocks in blocks:
             state += letter_blocks == state
@@ -260,40 +227,6 @@ def chernoff_alpha(k: int) -> float:
 def tail_beta(k: int) -> float:
     """max(alpha, e^{-1/4}), the base of the per-instance failure bound."""
     return max(chernoff_alpha(k), math.exp(-0.25))
-
-
-def chernoff_tail(m: int, k: int) -> float:
-    """The lower-tail bound alpha^m on Pr[h <= m/4], where h counts the sets
-    of a length-m random selector isolating some element of a fixed k-set."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return chernoff_alpha(k) ** m
-
-
-def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple[float, float]:
-    """Empirical frequency of the tail event h <= floor(m/4) under the random
-    construction, with its binomial standard error.
-
-    Isolation of X = {0..k-1} depends only on the k membership draws inside
-    X, so only those columns are simulated; the universe size is irrelevant.
-    Trials, m * k draws each, are drawn in chunks as in `p_monte_carlo`.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    threshold = m // 4
-    hits = 0
-    chunk = max(1, min(MC_CHUNK, MC_MAX_ELEMENTS // (m * k)))
-    for start in range(0, trials, chunk):
-        draws = rng.random((min(chunk, trials - start), m, k)) < 1.0 / k
-        h = (draws.sum(axis=2) == 1).sum(axis=1)
-        hits += int(np.count_nonzero(h <= threshold))
-    freq = hits / trials
-    return freq, math.sqrt(freq * (1.0 - freq) / trials)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     GossipIncompleteError,
     NotStronglyConnectedError,
     QuasiGossipFailedError,
@@ -107,11 +106,6 @@ def network_from_text(text: str) -> Network:
     return Network(tuple(s if s is not None else frozenset() for s in out_edges))
 
 
-def save_network(path, network: Network) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(network_to_text(network))
-
-
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as f:
         return network_from_text(f.read())
@@ -161,11 +155,6 @@ def is_strongly_connected(network: Network) -> bool:
 # ---------------------------------------------------------------------------
 # state and trace
 # ---------------------------------------------------------------------------
-
-def _labels(mask: int) -> list[int]:
-    """The labels whose bits are set in mask, ascending."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
 
 class SimState:
     """One run: rumor sets (`rumors_held`), rumor activity, round accounting
@@ -260,23 +249,6 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     state.charge(phase, 1)
     state.records.append(record)
     return record
-
-
-def audit_trace(network: Network, state: SimState) -> bool:
-    """Re-derive every delivery and collision from the transmitter sets and
-    the topology; raises on any inconsistency."""
-    for rec in state.records:
-        count: dict[int, int] = {}
-        sender: dict[int, int] = {}
-        for u in rec.transmitters:
-            for v in network.out_edges[u]:
-                count[v] = count.get(v, 0) + 1
-                sender[v] = u
-        received = tuple(sorted((v, sender[v]) for v, c in count.items() if c == 1))
-        collisions = frozenset(v for v, c in count.items() if c >= 2)
-        if received != rec.received or collisions != rec.collisions:
-            raise ValueError(f"round {rec.index}: trace inconsistent with the collision rule")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -448,59 +420,3 @@ def choose_kappa(n: int, broadcast_rounds: int) -> int:
         raise ValueError("broadcast_rounds must be at least 1")
     kappa = math.ceil((n * broadcast_rounds / math.log2(n)) ** (1.0 / 3.0))
     return max(1, min(kappa, n))
-
-
-# ---------------------------------------------------------------------------
-# active-path diagnostics
-# ---------------------------------------------------------------------------
-
-ACTIVE_PATH_BUDGET = 1_000_000  # DFS expansions allowed per active_path_ell call
-
-
-def active_path_ell(network: Network, state: SimState, kappa: int) -> int:
-    """Largest L such that every directed path of L active nodes has an
-    active in-neighborhood (active nodes with edges into the path) smaller
-    than kappa; returns n when no active path of any length violates this.
-
-    Exhaustive DFS over simple active paths, pruned where the running
-    in-neighborhood already reached kappa (extensions only grow it).
-    """
-    n = network.n
-    active = _labels(state.active)
-    if not active:
-        return n
-    act_in = {v: frozenset(u for u in network.in_neighbors[v] if state.active >> u & 1)
-              for v in active}
-    act_out = {v: sorted(w for w in network.out_edges[v] if state.active >> w & 1)
-               for v in active}
-    best: Optional[int] = None  # shortest violating path length found
-    expansions = 0
-
-    def extend(path: set[int], last: int, nbhd: frozenset[int], length: int) -> None:
-        nonlocal best, expansions
-        for w in act_out[last]:
-            if w in path:
-                continue
-            expansions += 1
-            if expansions > ACTIVE_PATH_BUDGET:
-                raise BudgetExceededError(f"active-path enumeration exceeded {ACTIVE_PATH_BUDGET} expansions")
-            if best is not None and length + 1 >= best:
-                return
-            new_nbhd = nbhd | act_in[w]
-            if len(new_nbhd) >= kappa:
-                best = length + 1
-                continue
-            path.add(w)
-            extend(path, w, new_nbhd, length + 1)
-            path.remove(w)
-
-    for v in active:
-        expansions += 1
-        if expansions > ACTIVE_PATH_BUDGET:
-            raise BudgetExceededError(f"active-path enumeration exceeded {ACTIVE_PATH_BUDGET} expansions")
-        nbhd = act_in[v]
-        if len(nbhd) >= kappa:
-            return 0
-        if best is None or best > 1:
-            extend({v}, v, nbhd, 1)
-    return n if best is None else best - 1

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 
@@ -103,14 +103,6 @@ OK = Verdict(ok=True)
 # isolation primitives
 # ---------------------------------------------------------------------------
 
-def isolates(s: Iterable[Label], x_set: Iterable[Label]) -> Optional[Label]:
-    """The unique element of s & x_set, or None when the intersection is not a singleton."""
-    inter = frozenset(s) & frozenset(x_set)
-    if len(inter) == 1:
-        return next(iter(inter))
-    return None
-
-
 def _columns(selector: Selector) -> list[int]:
     """For each label x, the bitset of the times t whose set contains x."""
     cols = [0] * selector.universe_size
@@ -172,30 +164,11 @@ def _trace_events(x_tuple: Sequence[Label], iso: Sequence[int]) -> list[tuple[in
     return events
 
 
-def isolation_trace(selector: Selector, x_set: Iterable[Label]) -> tuple[tuple[int, Label], ...]:
-    """All (index, label) isolation events of the selector against x_set,
-    in strictly increasing index order."""
-    # Labels outside the universe are in no set: they never produce an event.
-    cols = _columns(selector)
-    inside = [x for x in frozenset(x_set) if 0 <= x < len(cols)]
-    return tuple(_trace_events(inside, _isolation_times(cols, inside)))
-
-
 def _ordered_count(labels: Sequence[Label], order: Sequence[Label]) -> int:
     """How many elements of `order` the trace labels isolate in that order:
     the longest strictly increasing subsequence of their positions in it."""
     pos_of = {x: d for d, x in enumerate(order)}
     return lis_length([pos_of[x] for x in labels])
-
-
-def isolates_permutation(selector: Selector, order: Sequence[Label]) -> bool:
-    """True iff the isolation trace of the labels of `order` contains `order`
-    as a (not necessarily contiguous) subsequence.  Raises ValueError on an
-    empty order or a repeated label."""
-    if not order or len(set(order)) != len(order):
-        raise ValueError(f"order must be a non-empty sequence of distinct labels, got {order!r}")
-    labels = [x for _, x in isolation_trace(selector, order)]
-    return _ordered_count(labels, order) == len(order)
 
 
 def lis_length(positions: Sequence[int]) -> int:

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from oracles import active_path_ell, chernoff_tail_empirical, p_jump_bruteforce
 from permsel import radio
 from permsel.build import (
     BuildConfig,
@@ -19,28 +20,26 @@ from permsel.build import (
 )
 from permsel.cli import main as cli_main
 from permsel.coupon import (
-    chernoff_tail,
-    chernoff_tail_empirical,
+    chernoff_alpha,
     p_bound,
-    p_bruteforce,
     p_exact,
     p_jump_bound,
-    p_jump_bruteforce,
     p_jump_exact,
     union_bound_value,
 )
 from permsel.radio import (
     Selector,
     SimState,
-    active_path_ell,
     check_quasi_gossip_done,
     gossip,
     quasi_gossip,
     random_strongly_connected,
 )
 from permsel.selectors import (
-    isolates_permutation,
-    isolation_trace,
+    _columns,
+    _isolation_times,
+    _ordered_count,
+    _trace_events,
     verify_kq_permutation_selector,
     verify_permutation_selector,
     verify_strong,
@@ -58,9 +57,9 @@ def _report(number, label):
 def test_criterion_01_exact_formula_equivalence():
     for k in (2, 3, 4):
         for ell in range(k, 11):
-            assert p_exact(ell, k) == p_bruteforce(ell, k)
+            assert p_exact(ell, k) == p_jump_bruteforce(ell, k, k)
     for ell in range(2, 21):
-        assert p_exact(ell, 2) == p_bruteforce(ell, 2)
+        assert p_exact(ell, 2) == p_jump_bruteforce(ell, 2, 2)
     for k in (2, 4):
         for q in (x for x in range(1, k + 1) if k % x == 0):
             for ell in range(1, 9):
@@ -93,7 +92,7 @@ def test_criterion_02_bound_domination():
 def test_criterion_03_chernoff_empirical_tail():
     trials = 100_000
     for k, m in ((2, 40), (3, 60), (4, 80)):
-        bound = chernoff_tail(m, k)
+        bound = chernoff_alpha(k) ** m
         freq, _ = chernoff_tail_empirical(m, k, trials=trials, seed=1000 + k)
         limit = bound + 3 * math.sqrt(bound * (1 - bound) / trials)
         assert freq <= limit, f"(k={k}, m={m}): freq {freq} > {limit}"
@@ -274,7 +273,8 @@ def test_criterion_09_verifier_cross_validation():
         a = verify_permutation_selector(selector, k, mode)
         b = verify_kq_permutation_selector(selector, k, k, mode)
         assert a == b
-    # 500 (selector, instance) pairs: greedy matching equals the index-tuple oracle.
+    # 500 (selector, instance) pairs: the in-order check (an LIS) equals the
+    # index-tuple oracle.
     import numpy as np
 
     for i in range(500):
@@ -284,9 +284,10 @@ def test_criterion_09_verifier_cross_validation():
         m = int(rng.integers(0, 13))
         selector = random_selector(max(k, 2), n, m, seed=substream_seed(88, i))
         x_tuple = tuple(int(x) for x in rng.choice(n, size=k, replace=False))
-        labels = [x for _, x in isolation_trace(selector, x_tuple)]
-        assert isolates_permutation(selector, x_tuple) == _index_tuple_oracle(labels, x_tuple)
-    _report(9, "verifiers agree: q=k vs full (200), greedy vs index tuples (500)")
+        iso = _isolation_times(_columns(selector), x_tuple)
+        labels = [x for _, x in _trace_events(x_tuple, iso)]
+        assert (_ordered_count(labels, x_tuple) == len(x_tuple)) == _index_tuple_oracle(labels, x_tuple)
+    _report(9, "verifiers agree: q=k vs full (200), LIS vs index tuples (500)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from permsel import build, coupon, radio
 from permsel.cli import _ratio, build_parser, main
-from permsel.radio import Network, network_to_text, random_strongly_connected, save_network
+from permsel.radio import Network, network_to_text, random_strongly_connected
 from permsel.selectors import load_selector, verify_permutation_selector
 
 
@@ -357,7 +357,8 @@ def test_simulate_cycle_with_selector_file(tmp_path, capsys):
                      "--mode", "up_to", "--seed", "2", "-m", "16", "-o", str(sel_file))
     assert code == 0
     net_file = tmp_path / "cycle.txt"
-    save_network(net_file, Network((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({0}))))
+    cycle = Network((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({0})))
+    net_file.write_text(network_to_text(cycle), encoding="utf-8")
     code, out, _ = run(capsys, "simulate", "--network", str(net_file), "--kappa", "2",
                        "--selector", str(sel_file))
     assert code == 0 and "audit=pass" in out
@@ -367,7 +368,8 @@ def test_simulate_rejects_selector_universe_mismatch(tmp_path, capsys):
     sel_file = tmp_path / "sel.txt"
     sel_file.write_text("3 2 3\n0\n1\n2\n", encoding="utf-8")
     net_file = tmp_path / "cycle.txt"
-    save_network(net_file, Network((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({0}))))
+    cycle = Network((frozenset({1}), frozenset({2}), frozenset({3}), frozenset({0})))
+    net_file.write_text(network_to_text(cycle), encoding="utf-8")
     code, out, err = run(capsys, "simulate", "--network", str(net_file), "--kappa", "2",
                          "--selector", str(sel_file))
     assert code == 2 and out == "" and "does not match network size 4" in err

@@ -10,19 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DEFAULT_ENUM_BUDGET, chernoff_tail_empirical, p_jump_bruteforce
 from permsel import coupon
 from permsel.coupon import (
-    DEFAULT_ENUM_BUDGET,
     MC_CHUNK,
-    chernoff_tail,
-    chernoff_tail_empirical,
+    chernoff_alpha,
     isolation_gamma,
     jump_blocks,
     p_bound,
-    p_bruteforce,
     p_exact,
     p_jump_bound,
-    p_jump_bruteforce,
     p_jump_exact,
     p_jump_sweep,
     p_monte_carlo,
@@ -32,7 +29,8 @@ from permsel.errors import BudgetExceededError
 
 
 # ---------------------------------------------------------------------------
-# naive oracle (pure python, tiny sizes) to validate the vectorized enumerator
+# naive oracle (pure python, tiny sizes) to validate the vectorized
+# enumeration oracle in tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def naive_missing_fraction(ell, k, target_of_symbol, goal):
@@ -49,7 +47,7 @@ def naive_missing_fraction(ell, k, target_of_symbol, goal):
 
 @pytest.mark.parametrize("ell,k", [(1, 2), (3, 2), (5, 2), (2, 3), (4, 3), (3, 4)])
 def test_bruteforce_matches_naive_enumeration(ell, k):
-    assert p_bruteforce(ell, k) == naive_missing_fraction(ell, k, list(range(k)), k)
+    assert p_jump_bruteforce(ell, k, k) == naive_missing_fraction(ell, k, list(range(k)), k)
 
 
 @pytest.mark.parametrize("ell,k,q", [(3, 4, 2), (5, 4, 2), (4, 6, 3), (3, 6, 2)])
@@ -82,7 +80,7 @@ def test_p_exact_rejects_small_k():
 def test_formula_matches_bruteforce_grid():
     for k in (2, 3, 4):
         for ell in range(1, 11):
-            assert p_exact(ell, k) == p_bruteforce(ell, k)
+            assert p_exact(ell, k) == p_jump_bruteforce(ell, k, k)
 
 
 def test_p_jump_known_values():
@@ -179,7 +177,7 @@ def test_sweep_checks_inputs_at_the_call(args):
 
 def test_bruteforce_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        p_bruteforce(25, 2)
+        p_jump_bruteforce(25, 2, 2)
     assert 2**24 == DEFAULT_ENUM_BUDGET
 
 
@@ -280,20 +278,30 @@ def test_monte_carlo_large_draws_are_pinned(args, trials, seed, expected):
     assert p_monte_carlo(*args, trials=trials, seed=seed) == expected
 
 
+def peak_bytes(call):
+    call()  # numpy's first-use allocations are not the draws'
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_peaks_near_nine_bytes_per_draw():
+    # Ten trials of 4000 draws in one chunk: the 8-byte draw is freed once its
+    # one-byte blocks are gathered, so the peak is about 9 bytes per draw
+    # (361 kB), not 17 (682 kB, a transposed copy of the draw).
+    assert peak_bytes(lambda: p_monte_carlo(4000, 4, trials=10, seed=1)) < 450_000
+
+
 def test_monte_carlo_memory_is_bounded_by_elements(monkeypatch):
-    # Ten trials of 4000 draws in one chunk peak near 700 kB in p_monte_carlo;
+    # Ten trials of 4000 draws in one chunk peak near 360 kB in p_monte_carlo;
     # the cap 2**12 leaves one trial per chunk.
     monkeypatch.setattr(coupon, "MC_MAX_ELEMENTS", 2**12)
     for call in (lambda: p_monte_carlo(4000, 4, trials=10, seed=1),
                  lambda: chernoff_tail_empirical(400, 10, trials=10, seed=1)):
-        call()  # numpy's first-use allocations are not the draws'
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 300_000
+        assert peak_bytes(call) < 300_000
 
 
 @pytest.mark.parametrize("max_elements", [1, 10, 100])
@@ -336,8 +344,9 @@ def test_jump_blocks_partition():
 # ---------------------------------------------------------------------------
 
 def test_chernoff_tail_values():
-    assert chernoff_tail(16, 2) == pytest.approx(math.exp(-1), rel=1e-12)
-    assert chernoff_tail(0, 2) == 1.0
+    # The lower-tail bound on Pr[h <= m/4] is alpha^m.
+    assert chernoff_alpha(2) ** 16 == pytest.approx(math.exp(-1), rel=1e-12)
+    assert chernoff_alpha(2) ** 0 == 1.0
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -353,7 +362,7 @@ def test_chernoff_tail_empirical_is_pinned(args, expected):
 
 def test_chernoff_tail_empirical_under_bound():
     freq, _ = chernoff_tail_empirical(40, 2, trials=100_000, seed=12)
-    bound = chernoff_tail(40, 2)
+    bound = chernoff_alpha(2) ** 40
     assert freq <= bound + 3 * math.sqrt(bound * (1 - bound) / 100_000)
 
 
@@ -362,16 +371,14 @@ def test_chernoff_tail_empirical_under_bound():
     (lambda: jump_blocks(4, 0), "q must be in [1, k], got 0"),
     (lambda: jump_blocks(4, 5), "q must be in [1, k], got 5"),
     (lambda: isolation_gamma(1), "gamma is defined for k >= 2"),
-    (lambda: chernoff_tail(-1, 3), "m must be non-negative"),
     (lambda: chernoff_tail_empirical(0, 2, 10), "m must be at least 1"),
     (lambda: chernoff_tail_empirical(4, 1, 10), "k must be at least 2"),
     (lambda: chernoff_tail_empirical(4, 2, 0), "trials must be at least 1"),
     (lambda: union_bound_value(1, 16, 30.0), "k must be at least 2"),
     (lambda: union_bound_value(2, 1, 30.0), "universe size must be at least 2"),
     (lambda: union_bound_value(2, 16, 0.0), "c must be positive"),
-], ids=["bound-q-zero", "blocks-q-zero", "blocks-q-above-k", "gamma-k1", "tail-m-negative",
-        "empirical-m-zero", "empirical-k1", "empirical-no-trials", "union-k1", "union-n1",
-        "union-c-zero"])
+], ids=["bound-q-zero", "blocks-q-zero", "blocks-q-above-k", "gamma-k1", "empirical-m-zero",
+        "empirical-k1", "empirical-no-trials", "union-k1", "union-n1", "union-c-zero"])
 def test_coupon_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -32,5 +32,5 @@ def test_module_imports_only_earlier_layers(module):
     assert relative_imports(SRC / f"{module}.py") <= earlier
 
 
-def test_coupon_imports_only_errors():
-    assert relative_imports(SRC / "coupon.py") == {"errors"}
+def test_coupon_imports_no_package_module():
+    assert relative_imports(SRC / "coupon.py") == set()

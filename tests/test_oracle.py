@@ -22,6 +22,7 @@ from itertools import chain, combinations, permutations
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from oracles import isolates
 from permsel.build import random_selector
 from permsel.selectors import (
     DEFAULT_BUDGET,
@@ -32,7 +33,6 @@ from permsel.selectors import (
     _columns,
     _critical_length,
     _isolation_times,
-    isolates,
     iter_subsets,
     lis_length,
     verify_kq_permutation_selector,

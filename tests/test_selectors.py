@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import isolates
 from permsel import selectors
 from permsel.build import random_selector
 from permsel.errors import BudgetExceededError
@@ -13,9 +14,10 @@ from permsel.selectors import (
     VERIFY_TARGETS,
     Selector,
     Verdict,
-    isolates,
-    isolates_permutation,
-    isolation_trace,
+    _columns,
+    _isolation_times,
+    _ordered_count,
+    _trace_events,
     iter_subsets,
     lis_length,
     load_selector,
@@ -36,6 +38,17 @@ def sel(n, *sets):
 
 def singleton_selector(n, passes=1):
     return Selector(n, tuple(frozenset({x}) for _ in range(passes) for x in range(n)))
+
+
+def trace(selector, x_tuple):
+    """The (time, label) isolation events of x_tuple, read from the verifier core."""
+    return tuple(_trace_events(x_tuple, _isolation_times(_columns(selector), x_tuple)))
+
+
+def in_order(selector, order):
+    """Whether the trace isolates every element of `order` in that order."""
+    labels = [x for _, x in trace(selector, order)]
+    return _ordered_count(labels, order) == len(order)
 
 
 @pytest.mark.parametrize("n,sets,message", [
@@ -66,22 +79,22 @@ def test_isolates_empty_set():
 
 def test_isolation_trace_basic():
     s = sel(2, {0}, {1}, {0})
-    assert isolation_trace(s, {0, 1}) == ((0, 0), (1, 1), (2, 0))
+    assert trace(s, (0, 1)) == ((0, 0), (1, 1), (2, 0))
 
 
 def test_isolation_trace_skips_wide_sets():
-    assert isolation_trace(sel(2, {0, 1}), {0, 1}) == ()
+    assert trace(sel(2, {0, 1}), (0, 1)) == ()
 
 
 def test_isolation_trace_skips_empty_intersections():
     s = sel(2, {0}, {0, 1}, {1})
-    assert isolation_trace(s, {1}) == ((1, 1), (2, 1))
+    assert trace(s, (1,)) == ((1, 1), (2, 1))
 
 
 def test_isolates_permutation_true_and_false():
     s = sel(2, {0}, {1}, {0})
-    assert isolates_permutation(s, (1, 0))
-    assert not isolates_permutation(sel(2, {0}, {1}), (1, 0))
+    assert in_order(s, (1, 0))
+    assert not in_order(sel(2, {0}, {1}), (1, 0))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (6, 3)])
@@ -89,15 +102,15 @@ def test_singleton_passes_isolate_everything(n, k):
     s = singleton_selector(n, passes=k)
     for x_tuple in combinations(range(n), k):
         for order in permutations(x_tuple):
-            assert isolates_permutation(s, order)
+            assert in_order(s, order)
 
 
 # ---------------------------------------------------------------------------
-# greedy matching vs exhaustive index-tuple oracle
+# the in-order check (an LIS) vs exhaustive index-tuple oracle
 # ---------------------------------------------------------------------------
 
 def contains_by_index_tuples(trace_labels, order):
-    """Oracle: search all increasing index tuples instead of greedy scanning."""
+    """Oracle: search all increasing index tuples instead of taking an LIS."""
     k = len(order)
     for idxs in combinations(range(len(trace_labels)), k):
         if all(trace_labels[i] == x for i, x in zip(idxs, order)):
@@ -115,8 +128,8 @@ def test_greedy_matches_exhaustive_oracle_exhaustively_small():
     for sets in product(subsets, repeat=3):
         s = Selector(2, sets)
         for order in orders:
-            labels = [x for _, x in isolation_trace(s, order)]
-            assert isolates_permutation(s, order) == contains_by_index_tuples(labels, order)
+            labels = [x for _, x in trace(s, order)]
+            assert in_order(s, order) == contains_by_index_tuples(labels, order)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def test_no_length_two_selector_is_a_two_permutation_selector():
 def test_verify_permutation_counterexample_order():
     v = verify_permutation_selector(sel(2, {0}, {1}), 2, "exact")
     assert not v.ok and v.x_set == (0, 1) and v.order == (1, 0)
-    assert not isolates_permutation(sel(2, {0}, {1}), v.order)
+    assert not in_order(sel(2, {0}, {1}), v.order)
 
 
 def test_verify_kq_each_pair_has_one_isolated():
@@ -281,9 +294,9 @@ def test_appending_sets_preserves_ok(k_extra, data):
 def test_prefix_of_isolated_order_is_isolated():
     s = singleton_selector(4, passes=3)
     order = (3, 0, 2)
-    assert isolates_permutation(s, order)
+    assert in_order(s, order)
     for cut in (1, 2):
-        assert isolates_permutation(s, order[:cut])
+        assert in_order(s, order[:cut])
 
 
 def test_permutation_ok_implies_strong_ok():
@@ -373,12 +386,6 @@ def test_ordered_verifiers_do_not_call_each_other(monkeypatch, seed, mode, perm,
 def test_selector_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
         Selector(2, (frozenset({2}),))
-
-
-def test_isolates_permutation_rejects_empty_or_repeated_order():
-    for order in ((), (0, 0)):
-        with pytest.raises(ValueError):
-            isolates_permutation(singleton_selector(2), order)
 
 
 def test_text_round_trip(tmp_path):
