@@ -36,7 +36,7 @@ print("=" * 70)
 print("  p_jump(ell=2, k=4, q=2) =", p_jump_exact(2, 4, 2))
 print("  p_jump(ell=5, k=4, q=1) =", p_jump_exact(5, 4, 1))
 print("  p_jump(ell=6, k=3, q=3) =", p_jump_exact(6, 3, 3), "== p_exact(6,3) =", p_exact(6, 3))
-print("  bound at (2,4,2):", round(p_jump_bound(2, 4, 2), 4))
+print("  bound at (2,4,2):", round(p_jump_bound(2, 2), 4))
 
 print()
 print("=" * 70)

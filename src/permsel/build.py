@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coupon import chernoff_alpha, isolation_gamma, tail_beta
+from .coupon import chernoff_alpha, chernoff_delta, isolation_gamma, tail_beta
 from .errors import AttemptsExhaustedError, BudgetExceededError
 from .selectors import DEFAULT_BUDGET, Selector, _charge, check_request, check_target, verify
 
@@ -67,7 +67,7 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     # k <= N (so N >= 2) and q in [1, k], as every request is checked.
     check_request(universe_size, k, "permutation", q, "exact")
     gamma = isolation_gamma(k)
-    delta = 1.0 - 1.0 / (4.0 * gamma)
+    delta = chernoff_delta(k)
     alpha = chernoff_alpha(k)
     beta = tail_beta(k)
     c = smallest_c(beta)

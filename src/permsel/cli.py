@@ -77,10 +77,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
 
-def _bound(ell: int, k: int, blocks: int) -> Optional[float]:
+def _bound(ell: int, blocks: int) -> Optional[float]:
     """The bound on the miss probability of the pattern of `blocks` blocks
     (k for the plain one), or None when ell is shorter than the pattern."""
-    return coupon.p_jump_bound(ell, k, blocks) if ell >= blocks else None
+    return coupon.p_jump_bound(ell, blocks) if ell >= blocks else None
 
 
 def _ratio(bound: float, exact: Fraction) -> float:
@@ -117,7 +117,7 @@ def cmd_prob(args) -> int:
     # request leaves no partial output behind.
     blocks = args.k if args.q is None else args.q
     exact = coupon.p_jump_exact(args.ell, args.k, blocks)
-    bound = _bound(args.ell, args.k, blocks)
+    bound = _bound(args.ell, blocks)
     with _unlimited_int_digits():
         parts = [f"p_exact={exact.numerator}/{exact.denominator}"]
     if bound is not None:
@@ -191,7 +191,7 @@ def cmd_sweep(args) -> int:
     lines = ["ell,k,q,exact_num,exact_den,bound"]
     with _unlimited_int_digits():
         for ell, exact in zip(range(args.ell_min, args.ell_max + 1), exacts):
-            bound = _bound(ell, args.k, blocks)
+            bound = _bound(ell, blocks)
             b_col = "" if bound is None else repr(bound)
             lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
     text = "\n".join(lines) + "\n"

@@ -131,15 +131,13 @@ def p_bound(ell: int, k: int) -> float:
     _validate_ell_k(ell, k)
     if ell < k:
         raise ValueError(f"the bound needs ell >= k, got ell={ell}, k={k}")
-    return p_jump_bound(ell, k, k)
+    return p_jump_bound(ell, k)
 
 
-def p_jump_bound(ell: int, k: int, q: int) -> float:
-    """The analytic upper bound exp(-ell/q) * (2 ell / q)^q on p_jump_exact.
-
-    The bound does not depend on k; the argument is kept for symmetry with
-    the exact forms.  Past the float range it is math.inf, a vacuous but
-    valid upper bound.
+def p_jump_bound(ell: int, q: int) -> float:
+    """The analytic upper bound exp(-ell/q) * (2 ell / q)^q on p_jump_exact,
+    for every k.  Past the float range it is math.inf, a vacuous but valid
+    upper bound.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -217,11 +215,15 @@ def isolation_gamma(k: int) -> float:
     return (1.0 - 1.0 / k) ** (k - 1)
 
 
+def chernoff_delta(k: int) -> float:
+    """Relative deviation 1 - 1/(4 gamma) of the Chernoff lower tail."""
+    return 1.0 - 1.0 / (4.0 * isolation_gamma(k))
+
+
 def chernoff_alpha(k: int) -> float:
     """Base of the lower-tail bound on the isolation count: exp(-delta^2*gamma/2)."""
-    gamma = isolation_gamma(k)
-    delta = 1.0 - 1.0 / (4.0 * gamma)
-    return math.exp(-delta * delta * gamma / 2.0)
+    delta = chernoff_delta(k)
+    return math.exp(-delta * delta * isolation_gamma(k) / 2.0)
 
 
 def tail_beta(k: int) -> float:

@@ -158,7 +158,7 @@ def is_strongly_connected(network: Network) -> bool:
 
 class SimState:
     """One run: rumor sets (`rumors_held`), rumor activity, round accounting
-    (`round` includes surcharge), and the records and checks of the run.
+    (`round` includes surcharge), and the run's transmission records.
 
     Bit v of `active` is set while rumor v is active (never broadcast);
     node v is active iff rumor v is.
@@ -170,8 +170,6 @@ class SimState:
         self.round: int = 0
         self.phase_rounds: dict[str, int] = {}
         self.records: list[RoundRecord] = []
-        self.checks: dict[str, object] = {}
-        self.replay_start: Optional[int] = None
 
     def active_rumor_count(self, v: int) -> int:
         return (self.rumors_held[v] & self.active).bit_count()
@@ -323,7 +321,7 @@ def disperse(network: Network, state: SimState, mu: int) -> int:
     return selections
 
 
-def check_quasi_gossip_done(network: Network, state: SimState) -> bool:
+def check_quasi_gossip_done(state: SimState) -> bool:
     """True iff every node is dormant or its rumor has reached a dormant node."""
     dormant_union = 0
     for w, held in enumerate(state.rumors_held):
@@ -350,12 +348,11 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
 
     The task's postcondition (`check_quasi_gossip_done`) is checked after
     step 2 and after each repetition; since it is monotone under further
-    rounds, the run stops early once it holds.  Both checks are recorded in
-    `state.checks`.  The selector is fetched once and reused across
-    repetitions.  Raises QuasiGossipFailedError if
+    rounds, the run stops early once it holds.  The selector is fetched
+    once and reused across repetitions.  Raises QuasiGossipFailedError if
     either the in-neighborhood reduction after step 2 or the final
     postcondition fails (both would indicate a non-selector input or a
-    simulator bug).
+    simulator bug), so a run that returns met both.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -363,12 +360,11 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         step(network, state, {v}, phase="rr")
     disperse(network, state, kappa)
     max_in = _max_active_in_degree(network, state)
-    state.checks["post_line4_max_active_in_degree"] = max_in
     if max_in >= kappa:
         raise QuasiGossipFailedError(
             f"after Disperse(kappa) some node still has {max_in} >= kappa={kappa} active in-neighbors"
         )
-    done = check_quasi_gossip_done(network, state)
+    done = check_quasi_gossip_done(state)
     if not done:
         selector = selector_provider(kappa, network.n)
         iterations = math.ceil(math.log2(kappa)) + 1 if kappa > 1 else 1
@@ -378,12 +374,11 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
             for s in selector.sets:
                 step(network, state, [v for v in s if active >> v & 1], phase="selector")
             disperse(network, state, half)
-            done = check_quasi_gossip_done(network, state)
+            done = check_quasi_gossip_done(state)
             if done:
                 break
     if not done:
         raise QuasiGossipFailedError("quasi-gossip postcondition does not hold after the final iteration")
-    state.checks["quasi_done"] = True
 
 
 def gossip_complete(network: Network, state: SimState) -> bool:
@@ -395,18 +390,17 @@ def gossip(network: Network, kappa: int,
            selector_provider: Callable[[int, int], Selector]) -> SimState:
     """Full gossip: run quasi-gossip from a fresh state, then replay its
     entire transmitter schedule once.  Audits that every node ends holding
-    all n rumors, and returns the run's state."""
+    all n rumors, and returns the run's state: its first half of records is
+    quasi-gossip, its second half the replay."""
     if not is_strongly_connected(network):
         raise NotStronglyConnectedError("network is not strongly connected")
     state = SimState(network)
     quasi_gossip(network, state, kappa, selector_provider)
     schedule = [(rec.phase, rec.transmitters) for rec in state.records]
-    state.replay_start = len(state.records)
     for phase, tx in schedule:
         step(network, state, tx, phase=phase)
     if not gossip_complete(network, state):
         raise GossipIncompleteError("some node is missing rumors after the replay")
-    state.checks["gossip_complete"] = True
     return state
 
 

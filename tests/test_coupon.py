@@ -199,28 +199,27 @@ def test_p_bound_rejects_short():
 
 
 def test_p_jump_bound_values_and_domination():
-    assert p_jump_bound(2, 4, 2) == pytest.approx(math.exp(-1) * 4, rel=1e-12)
-    assert p_jump_bound(5, 4, 1) == pytest.approx(math.exp(-5) * 10, rel=1e-12)
+    assert p_jump_bound(2, 2) == pytest.approx(math.exp(-1) * 4, rel=1e-12)
+    assert p_jump_bound(5, 1) == pytest.approx(math.exp(-5) * 10, rel=1e-12)
     for k in (2, 4, 6):
         for q in (1, 2, k):
             if k % q:
                 continue
             for ell in range(q, 41):
-                assert Fraction(p_jump_bound(ell, k, q)) >= p_jump_exact(ell, k, q)
+                assert Fraction(p_jump_bound(ell, q)) >= p_jump_exact(ell, k, q)
 
 
 def test_bounds_are_inf_past_the_float_range():
     # (2 * 1700 / 300)^300 overflows a float; a finite bound keeps its
     # expression bit for bit.
     assert p_bound(1700, 300) == math.inf
-    assert p_jump_bound(1700, 300, 300) == math.inf
-    assert p_jump_bound(1700, 600, 300) == math.inf
+    assert p_jump_bound(1700, 300) == math.inf
     assert p_bound(40, 6) == math.exp(-40 / 6) * (2.0 * 40 / 6) ** 6
 
 
 def test_p_jump_bound_rejects_short():
     with pytest.raises(ValueError):
-        p_jump_bound(1, 4, 2)
+        p_jump_bound(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,7 @@ def test_chernoff_tail_empirical_under_bound():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: p_jump_bound(5, 4, 0), "q must be at least 1"),
+    (lambda: p_jump_bound(5, 0), "q must be at least 1"),
     (lambda: jump_blocks(4, 0), "q must be in [1, k], got 0"),
     (lambda: jump_blocks(4, 5), "q must be in [1, k], got 5"),
     (lambda: isolation_gamma(1), "gamma is defined for k >= 2"),

@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "01_selector_basics.py": "46d225cdc43159cdb172344109c45175003f668fe65a27ca377f706bf5f73390",
     "02_probabilistic_construction.py": "34453bb7f82d0b848b65edcd9ecd3f6480c9166b65bc9b5af4ce4dd3f8a026dd",
     "03_coupon_probabilities.py": "602c4ae3250c74d4b0b7537399adafe4c9d3fc6d2fa3132e71d0d0638da0c811",
-    "04_gossip_simulation.py": "065caa1df2d84c8f739d97bef0a39cb5427c10e3e5279591e855175d860c5f91",
+    "04_gossip_simulation.py": "0486485b0f1ce8bd5eef52ad4571789fa72766938c2e58746c104f74af93b69b",
 }
 
 
