@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .coupon import chernoff_alpha, chernoff_delta, isolation_gamma, tail_beta
-from .errors import AttemptsExhaustedError, BudgetExceededError
+from .errors import AttemptsExhaustedError
 from .selectors import DEFAULT_BUDGET, Selector, _charge, check_request, check_target, verify
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
@@ -163,42 +163,33 @@ def build_verified(k: int, universe_size: int, config: BuildConfig) -> tuple[Sel
 
 
 def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
-    """Smallest m at which `build_verified` succeeds with this config and
-    m_override=m: the smallest m in [1, cap] at which one of the
-    config.max_attempts seeded draws verifies, where the cap is the length
-    `build_verified` would use (m_override, else the derived size).
+    """Smallest m in [1, cap] at which `build_verified` succeeds with this
+    config and m_override=m, where the cap is the length `build_verified`
+    would use (m_override, else the derived size).
 
-    Trial j draws with the child seed substream_seed(seed, j) at every
-    length, as attempt j+1 of `build_verified` does, and random_selector
-    gives each set its own sub-stream, so the length-m draw of a trial is a
-    prefix of its length-(m+1) draw and a trial that verifies at m verifies
-    at every larger m.  The test "some trial verifies at m" is therefore
-    monotone, and a galloping search (m = 1, 2, 4, ... until it holds, then
-    bisection below) finds the same smallest m as trying every length in
-    turn.  A length is probed by drawing and verifying the trials in order
-    up to the first that passes; the trials before it failed at that
-    length, so they cannot pass at any smaller one and are dropped.
+    Trial j draws with the child seed substream_seed(seed, j), as attempt
+    j+1 of `build_verified` does.  random_selector gives each set its own
+    sub-stream, so a trial's length-m draw is a prefix of its longer draws
+    and a trial that verifies at m verifies at every larger m.  "Some trial
+    verifies at m" is therefore monotone, and a galloping search (m = 1, 2,
+    4, ... until it holds, then bisection below) finds the same smallest m
+    as trying every length in turn.  A probe draws and verifies the trials
+    in order up to the first that passes and drops the ones before it: they
+    failed at that length, so they cannot pass at any smaller one.
 
-    A live trial is [seed, longest draw so far], the draw lent to the
-    trial's later draws as their prefix, so a set of a trial is drawn once
-    per search however many lengths are probed; a dropped trial takes it along.
-
-    A length over the verifier's budget is refused before anything is
-    drawn.  That refusal is monotone in m too, so it ends the search like a
-    pass: when the smallest length that does not fail is refused, the
-    refusal is raised, as a scan from m = 1 would raise it.
+    A live trial is [seed, longest draw so far], the draw lent to its
+    later draws as their prefix, so each set is drawn once per search.  No
+    length past the longest the budget accepts (`_charge`) is probed; the
+    next one is refused, as a scan from m = 1 refuses it, if none passed.
     """
     cap = _default_m(k, universe_size, config)
+    top = cap and min(cap, _charge(universe_size, 1, k, config.target, config.q,
+                                   config.size_mode, config.budget))
     trials = [[substream_seed(config.seed, j), Selector(universe_size, ())]
               for j in range(config.max_attempts)]
 
-    def stops(m: int) -> bool:
-        """Whether length m ends the search: it is over budget, or a trial
-        verifies at it (and the trials before that one are dropped)."""
-        try:
-            _charge(universe_size, m, k, config.target, config.q, config.size_mode, config.budget)
-        except BudgetExceededError:
-            return True
+    def passes(m: int) -> bool:
+        """Whether a trial verifies at m (the trials before it are dropped)."""
         for i, (seed, longest) in enumerate(trials):
             selector = random_selector(k, universe_size, m, seed, prefix=longest)
             if m > len(longest):
@@ -208,20 +199,21 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
                 return True
         return False
 
-    # Every length <= lo fails; hi is probed next, then is the smallest stop.
+    # Every length <= lo fails; hi is probed next, then is the smallest pass.
     lo, hi = 0, 1
-    while hi <= cap and not stops(hi):
-        lo, hi = hi, (min(2 * hi, cap) if hi < cap else hi + 1)
-    if hi > cap:
+    while hi <= top and not passes(hi):
+        lo, hi = hi, (min(2 * hi, top) if hi < top else hi + 1)
+    if hi > top:
+        if top < cap:
+            _charge(universe_size, top + 1, k, config.target, config.q, config.size_mode,
+                    config.budget)
         raise AttemptsExhaustedError(
             f"no verified selector up to m={cap} with {config.max_attempts} trials per length"
         )
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if stops(mid):
+        if passes(mid):
             hi = mid
         else:
             lo = mid
-    # Raises when hi stopped by its refusal.
-    _charge(universe_size, hi, k, config.target, config.q, config.size_mode, config.budget)
     return hi

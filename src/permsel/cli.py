@@ -34,7 +34,12 @@ EXIT_INVALID = 2
 
 def _budget() -> int:
     raw = os.environ.get("PERMSEL_BUDGET")
-    return int(raw) if raw else selectors.DEFAULT_BUDGET
+    if not raw:
+        return selectors.DEFAULT_BUDGET
+    with contextlib.suppress(ValueError):
+        if (budget := int(raw)) >= 0:
+            return budget
+    raise ValueError(f"PERMSEL_BUDGET must be a non-negative integer, not {raw!r}")
 
 
 # ---------------------------------------------------------------------------

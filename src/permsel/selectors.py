@@ -194,10 +194,11 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
 
 
 def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
-            size_mode: str, budget: int) -> None:
+            size_mode: str, budget: int) -> int:
     """Validate a verification of `target` on a selector of `length` sets
     (see `check_request`) and charge it against the budget, raising before
-    any set is drawn or enumerated.
+    any set is drawn or enumerated.  Returns budget // instances, the
+    longest length the budget accepts, since the cost grows with length.
 
     The charge is (instances) * max(length, 1), counting each ordering of
     a target set as an instance for the ordered targets.
@@ -211,6 +212,7 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         raise BudgetExceededError(
             f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
         )
+    return budget // instances
 
 
 def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,

@@ -112,6 +112,20 @@ def test_verify_budget_refusal(tmp_path, capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("raw,err", [
+    ("abc", "error: PERMSEL_BUDGET must be a non-negative integer, not 'abc'\n"),
+    ("-1", "error: PERMSEL_BUDGET must be a non-negative integer, not '-1'\n"),
+    ("1.5", "error: PERMSEL_BUDGET must be a non-negative integer, not '1.5'\n"),
+    # 0 is a budget: C(4, 2) = 6 sets x 2 orderings x 1 set is over it.
+    ("0", "error: verification needs ~12 primitive isolation checks, budget is 0\n"),
+])
+def test_bad_budget_is_named(tmp_path, capsys, monkeypatch, raw, err):
+    f = tmp_path / "s.txt"
+    f.write_text("4 2 1\n0 1 2 3\n", encoding="utf-8")
+    monkeypatch.setenv("PERMSEL_BUDGET", raw)
+    assert run(capsys, "verify", str(f)) == (2, "", err)
+
+
 def test_parser_is_built_once_and_each_parse_starts_afresh():
     parser = build_parser()
     assert build_parser() is parser

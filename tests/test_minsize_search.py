@@ -142,15 +142,32 @@ def test_each_draw_is_verified_once_and_the_search_draws_less(monkeypatch):
     assert searched_sets * 3 < sum(calls[::2])
 
 
-def test_refused_length_is_not_drawn(monkeypatch):
-    # 156 ordered instances over N=6: m=20 is the first length over 3000.
-    config = BuildConfig(seed=5, target="permutation", size_mode="up_to", budget=3000,
+# Instances over N=6 at k=3 (q=2): 20 target sets in exact mode and 41 in
+# up_to, or 120 and 156 orderings for the ordered targets.  Each budget is
+# refused at a length below the target's answer (19, 44, 11 and 17-18).
+REFUSALS = [
+    ("strong", "exact", 20, 300),
+    ("strong", "up_to", 41, 600),
+    ("permutation", "exact", 120, 3000),
+    ("permutation", "up_to", 156, 3000),
+    ("kq", "exact", 20, 150),
+    ("kq", "up_to", 41, 300),
+    ("kq_permutation", "exact", 120, 1000),
+    ("kq_permutation", "up_to", 156, 1000),
+]
+
+
+@pytest.mark.parametrize("target,mode,instances,budget", REFUSALS)
+def test_refused_length_is_not_drawn(monkeypatch, target, mode, instances, budget):
+    config = BuildConfig(seed=5, target=target, size_mode=mode, q=2, budget=budget,
                          max_attempts=3)
+    refusal = outcome(linear_scan, 3, 6, config)
+    assert refusal[0] is BudgetExceededError
     calls = count_calls(monkeypatch)
-    with pytest.raises(BudgetExceededError, match="needs ~3120 primitive"):
-        minimal_m_search(3, 6, config)
+    assert outcome(minimal_m_search, 3, 6, config) == refusal
     assert_each_draw_verified_once(calls)
-    assert max(calls[::2]) == 19
+    # The longest length the budget accepts is drawn, and none past it.
+    assert max(calls[::2]) == budget // instances
 
 
 def test_search_draws_each_set_once(monkeypatch):

@@ -245,6 +245,22 @@ def test_budget_refusal_builds_no_columns(monkeypatch, target, cost):
         verify(s, 8, target, q=2, budget=cost)
 
 
+@pytest.mark.parametrize("target", VERIFY_TARGETS)
+@pytest.mark.parametrize("mode", ["exact", "up_to"])
+@pytest.mark.parametrize("budget", [156, 1000, 3000, 10**8])
+def test_charge_returns_the_longest_length_the_budget_accepts(target, mode, budget):
+    # Instances counted here by enumeration: each target set, or each of its
+    # orderings for the ordered targets.
+    ordered = target in ("permutation", "kq_permutation")
+    instances = sum(len(list(permutations(x))) if ordered else 1
+                    for x in iter_subsets(6, 3, mode))
+    longest = selectors._charge(6, 1, 3, target, 2, mode, budget)
+    assert longest == budget // instances
+    assert selectors._charge(6, longest, 3, target, 2, mode, budget) == longest
+    with pytest.raises(BudgetExceededError):
+        selectors._charge(6, longest + 1, 3, target, 2, mode, budget)
+
+
 # ---------------------------------------------------------------------------
 # lis
 # ---------------------------------------------------------------------------
