@@ -24,7 +24,6 @@ from .errors import (
     NotStronglyConnectedError,
     PermselError,
     QuasiGossipFailedError,
-    UnreachableNodeError,
 )
 from .radio import (
     Network,

@@ -62,11 +62,9 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
     Logarithms are base 2 throughout.  tail_beta(k) >= e^{-1/4} makes
     c >= 24, so m >= 24k.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    gamma = isolation_gamma(k)  # refuses k < 2
     # k <= N (so N >= 2) and q in [1, k], as every request is checked.
     check_request(universe_size, k, "permutation", q, "exact")
-    gamma = isolation_gamma(k)
     delta = chernoff_delta(k)
     alpha = chernoff_alpha(k)
     beta = tail_beta(k)

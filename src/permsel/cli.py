@@ -162,8 +162,6 @@ def cmd_simulate(args) -> int:
     else:
         n, p, seed = args.random
         network = radio.random_strongly_connected(int(n), float(p), int(seed))
-    kappa = args.kappa if args.kappa is not None else radio.choose_kappa(
-        network.n, radio.measure_broadcast_rounds(network))
     if args.selector is not None:
         loaded, _ = _read("selector", selectors.load_selector, args.selector)
         if loaded.universe_size != network.n:
@@ -179,10 +177,10 @@ def cmd_simulate(args) -> int:
             budget=_budget(),
         )
         provider = lambda k, n: build.build_verified(k, n, config)[0]
-    state = radio.gossip(network, kappa, provider)
+    state = radio.gossip(network, args.kappa, provider)
     if args.trace:
         radio.save_trace(args.trace, state)
-    print(f"kappa={kappa}")
+    print(f"kappa={state.kappa}")
     print(state.summary_line())
     print("audit=pass")
     return EXIT_OK
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--random", nargs=3, metavar=("N", "P", "SEED"),
                      help="random strongly connected digraph")
     p.add_argument("--kappa", type=int, default=None,
-                   help="defaults to (n*B/log2 n)^(1/3) with measured broadcast time B")
+                   help="in [1, n]; defaults to (n*B/log2 n)^(1/3) with measured broadcast time B")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--selector", help="selector file (trusted, not re-verified)")
     sel.add_argument("--auto", action="store_true",

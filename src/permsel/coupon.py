@@ -127,10 +127,8 @@ def _sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
 # ---------------------------------------------------------------------------
 
 def p_bound(ell: int, k: int) -> float:
-    """The analytic upper bound exp(-ell/k) * (2 ell / k)^k on p_exact."""
+    """The analytic upper bound exp(-ell/k) * (2 ell / k)^k on p_exact, for ell >= k."""
     _validate_ell_k(ell, k)
-    if ell < k:
-        raise ValueError(f"the bound needs ell >= k, got ell={ell}, k={k}")
     return p_jump_bound(ell, k)
 
 
@@ -211,7 +209,7 @@ def isolation_gamma(k: int) -> float:
     """Probability that a random 1/k-density set isolates some element of a
     fixed k-set: (1 - 1/k)**(k-1), in (1/e, 1/2] for k >= 2."""
     if k < 2:
-        raise ValueError("gamma is defined for k >= 2")
+        raise ValueError("k must be at least 2")
     return (1.0 - 1.0 / k) ** (k - 1)
 
 
@@ -248,16 +246,14 @@ class UnionBoundReport:
 
 def union_bound_value(k: int, universe_size: int, c: float) -> UnionBoundReport:
     """Evaluate the union bound in log2 space and report whether it
-    certifies existence (log2_value < 0)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    certifies existence (log2_value < 0).  `isolation_gamma` refuses k < 2."""
+    beta = tail_beta(k)
     if universe_size < 2:
         raise ValueError("universe size must be at least 2")
     if c <= 0:
         raise ValueError("c must be positive")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got c={c!r}")
-    beta = tail_beta(k)
     log_n = math.log2(universe_size)
     m = c * k * k * log_n
     if math.isinf(m):

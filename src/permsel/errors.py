@@ -14,16 +14,7 @@ class AttemptsExhaustedError(PermselError):
 
 
 class NotStronglyConnectedError(PermselError):
-    """Gossip requires a strongly connected network."""
-
-
-class UnreachableNodeError(NotStronglyConnectedError):
-    """Broadcast cannot complete: some node is unreachable from the source."""
-
-    def __init__(self, source: int, node: int):
-        self.source = source
-        self.node = node
-        super().__init__(f"node {node} is not reachable from source {source}")
+    """The network is not strongly connected: gossip refuses it, a broadcast stalls."""
 
 
 class QuasiGossipFailedError(PermselError):

@@ -27,12 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    GossipIncompleteError,
-    NotStronglyConnectedError,
-    QuasiGossipFailedError,
-    UnreachableNodeError,
-)
+from .errors import GossipIncompleteError, NotStronglyConnectedError, QuasiGossipFailedError
 from .selectors import Selector
 
 
@@ -114,8 +109,7 @@ def load_network(path) -> Network:
 def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Network:
     """A directed Hamiltonian cycle over a random permutation plus independent
     extra edges, each present with the given probability."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_node_count(n)
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -158,7 +152,8 @@ def is_strongly_connected(network: Network) -> bool:
 
 class SimState:
     """One run: rumor sets (`rumors_held`), rumor activity, round accounting
-    (`round` includes surcharge), and the run's transmission records.
+    (`round` includes surcharge), the run's transmission records, and the
+    kappa quasi-gossip ran with (None before it runs).
 
     Bit v of `active` is set while rumor v is active (never broadcast);
     node v is active iff rumor v is.
@@ -170,6 +165,7 @@ class SimState:
         self.round: int = 0
         self.phase_rounds: dict[str, int] = {}
         self.records: list[RoundRecord] = []
+        self.kappa: Optional[int] = None
 
     def active_rumor_count(self, v: int) -> int:
         return (self.rumors_held[v] & self.active).bit_count()
@@ -264,8 +260,8 @@ def broadcast(network: Network, state: SimState, source: int) -> int:
     layer further; the run stops as soon as every node holds it (global
     completion check).  A pass that reaches no new node leaves the holders
     closed under out-edges, so the smallest node still missing the payload
-    is unreachable from the source: UnreachableNodeError names it, after
-    that stalled pass is recorded.
+    is unreachable from the source: NotStronglyConnectedError names it,
+    after that stalled pass is recorded, instead of looping forever.
     """
     if not 0 <= source < network.n:
         raise ValueError(f"unknown source label {source}")
@@ -284,7 +280,8 @@ def broadcast(network: Network, state: SimState, source: int) -> int:
             if not missing:
                 break
         if missing == before:
-            raise UnreachableNodeError(source, holds.index(False))
+            raise NotStronglyConnectedError(
+                f"node {holds.index(False)} is not reachable from source {source}")
     return state.round - start
 
 
@@ -352,10 +349,12 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
     once and reused across repetitions.  Raises QuasiGossipFailedError if
     either the in-neighborhood reduction after step 2 or the final
     postcondition fails (both would indicate a non-selector input or a
-    simulator bug), so a run that returns met both.
+    simulator bug), so a run that returns met both.  A kappa outside
+    [1, n] is refused before the first round.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    if not 1 <= kappa <= network.n:
+        raise ValueError(f"kappa must be in [1, n], got kappa={kappa}, n={network.n}")
+    state.kappa = kappa
     for v in range(network.n):
         step(network, state, {v}, phase="rr")
     disperse(network, state, kappa)
@@ -386,14 +385,18 @@ def gossip_complete(network: Network, state: SimState) -> bool:
     return all(held == everything for held in state.rumors_held)
 
 
-def gossip(network: Network, kappa: int,
+def gossip(network: Network, kappa: Optional[int],
            selector_provider: Callable[[int, int], Selector]) -> SimState:
-    """Full gossip: run quasi-gossip from a fresh state, then replay its
-    entire transmitter schedule once.  Audits that every node ends holding
-    all n rumors, and returns the run's state: its first half of records is
-    quasi-gossip, its second half the replay."""
+    """Full gossip on a strongly connected network (checked once, before any
+    round; then kappa=None takes `choose_kappa` of a broadcast from node 0):
+    run quasi-gossip from a fresh state, then replay its entire transmitter
+    schedule once.  Audits that every node ends holding all n rumors, and
+    returns the run's state: its first half of records is quasi-gossip, its
+    second half the replay."""
     if not is_strongly_connected(network):
         raise NotStronglyConnectedError("network is not strongly connected")
+    if kappa is None:
+        kappa = choose_kappa(network.n, measure_broadcast_rounds(network))
     state = SimState(network)
     quasi_gossip(network, state, kappa, selector_provider)
     schedule = [(rec.phase, rec.transmitters) for rec in state.records]
@@ -406,8 +409,7 @@ def gossip(network: Network, kappa: int,
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:
     """ceil((n * broadcast_rounds / log2 n)^(1/3)), kept within [1, n]; 1 when n = 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_node_count(n)
     if n == 1:
         return 1
     if broadcast_rounds < 1:

@@ -196,7 +196,7 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
 def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
             size_mode: str, budget: int) -> int:
     """Validate a verification of `target` on a selector of `length` sets
-    (see `check_request`) and charge it against the budget, raising before
+    (see `check_request`) and charge it against a budget >= 0, raising before
     any set is drawn or enumerated.  Returns budget // instances, the
     longest length the budget accepts, since the cost grows with length.
 
@@ -204,6 +204,8 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
     a target set as an instance for the ordered targets.
     """
     check_request(universe_size, k, target, q, size_mode)
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     sizes = _sizes(k, size_mode)
     ordered = target in _ORDERED_TARGETS
     instances = sum(comb(universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)

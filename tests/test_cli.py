@@ -403,14 +403,14 @@ def test_simulate_auto_refuses_over_budget_before_drawing(capsys, monkeypatch):
 
 
 def test_simulate_rejects_weakly_connected(tmp_path, capsys):
-    # gossip makes the one connectivity check; measuring kappa first broadcasts
-    # from node 0, which names the node it cannot reach.
+    # gossip makes the one connectivity check before it measures kappa, so
+    # every weak network reads the same line, with or without --kappa.
     net_file = tmp_path / "weak.txt"
     for text, kappa, err in [
         ("2\n0: 1\n1:\n", (), "error: network is not strongly connected\n"),
         ("2\n0: 1\n1:\n", ("--kappa", "1"), "error: network is not strongly connected\n"),
         ("3\n0: 1\n1: 0\n2: 0\n", ("--kappa", "1"), "error: network is not strongly connected\n"),
-        ("3\n0: 1\n1: 0\n2: 0\n", (), "error: node 2 is not reachable from source 0\n"),
+        ("3\n0: 1\n1: 0\n2: 0\n", (), "error: network is not strongly connected\n"),
     ]:
         net_file.write_text(text, encoding="utf-8")
         assert run(capsys, "simulate", "--network", str(net_file), *kappa, "--auto") == (2, "", err)
@@ -453,13 +453,74 @@ def test_simulate_ignores_self_loops(tmp_path, capsys, kappa):
     (("--network", "{blank}"), "error: cannot read network: empty network file\n"),
     (("--random", "5", "1.5", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
     (("--random", "5", "-0.1", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
-    (("--random", "0", "0.5", "1"), "error: n must be at least 1\n"),
+    (("--random", "0", "0.5", "1"), "error: a network needs at least 1 node, got 0\n"),
 ], ids=["blank-file", "p-above-1", "p-below-0", "n-zero"])
 def test_simulate_refuses_a_bad_network_request(tmp_path, capsys, argv, err):
     blank = tmp_path / "blank.net"
     blank.write_text("\n", encoding="utf-8")
     argv = [a.format(blank=blank) for a in argv]
     assert run(capsys, "simulate", *argv, "--auto") == (2, "", err)
+
+
+# Each bad simulate input, the --kappa flags it is run with, and its one
+# stderr line.  A network is a file's text or the --random arguments.  A
+# file with header 0 and --random 0 read one message; the file's reader
+# prefixes the input it cannot read.
+WEAK = "error: network is not strongly connected\n"
+NO_NODE = "a network needs at least 1 node, got 0\n"
+WITH_AND_WITHOUT_KAPPA = [(), ("--kappa", "1")]
+SIMULATE_REFUSALS = [
+    ("2\n0: 1\n1:\n", WITH_AND_WITHOUT_KAPPA, WEAK),
+    ("3\n0: 1\n1: 0\n2: 0\n", WITH_AND_WITHOUT_KAPPA, WEAK),
+    ("3\n0: 1 2\n1:\n2:\n", WITH_AND_WITHOUT_KAPPA, WEAK),
+    ("4\n0: 1\n1: 0\n2: 3\n3: 2\n", WITH_AND_WITHOUT_KAPPA, WEAK),
+    (("8", "0.3", "42"), [("--kappa", "0")],
+     "error: kappa must be in [1, n], got kappa=0, n=8\n"),
+    (("8", "0.3", "42"), [("--kappa", "9")],
+     "error: kappa must be in [1, n], got kappa=9, n=8\n"),
+    (("0", "0.5", "1"), WITH_AND_WITHOUT_KAPPA, "error: " + NO_NODE),
+    ("0\n", WITH_AND_WITHOUT_KAPPA, "error: cannot read network: " + NO_NODE),
+]
+
+
+@pytest.mark.parametrize("network,kappas,err", SIMULATE_REFUSALS,
+                         ids=["weak-path", "weak-sink-source", "weak-star", "weak-two-rings",
+                              "kappa-zero", "kappa-above-n", "random-n-zero", "file-n-zero"])
+def test_simulate_refusal_does_not_depend_on_the_flags(tmp_path, capsys, monkeypatch,
+                                                       network, kappas, err):
+    # One line and exit 2 under --auto and --selector, with or without
+    # --kappa, before any round, draw or trace file.
+    def no_call(*args, **kwargs):
+        raise AssertionError("a round or a draw before the refusal")
+
+    monkeypatch.setattr(radio, "step", no_call)
+    monkeypatch.setattr(build, "random_selector", no_call)
+    if isinstance(network, str):
+        net_file = tmp_path / "g.net"
+        net_file.write_text(network, encoding="utf-8")
+        source, n = ("--network", str(net_file)), int(network.split()[0])
+    else:
+        source, n = ("--random", *network), int(network[0])
+    # simulate trusts a selector file; singletons over the n labels will do.
+    sel_file = tmp_path / "s.sel"
+    sel_file.write_text(f"{n} 1 {n}\n" + "".join(f"{v}\n" for v in range(n)), encoding="utf-8")
+    trace = tmp_path / "t.trace"
+    for kappa in kappas:
+        for selector in (("--auto",), ("--selector", str(sel_file))):
+            assert run(capsys, "simulate", *source, *kappa, *selector,
+                       "--trace", str(trace)) == (2, "", err)
+            assert not trace.exists()
+
+
+def test_simulate_prints_the_kappa_gossip_ran_with(capsys, monkeypatch):
+    states = []
+    gossip = radio.gossip
+    monkeypatch.setattr(radio, "gossip", lambda *args: states.append(gossip(*args)) or states[-1])
+    code, out, _ = run(capsys, "simulate", "--random", "8", "0.3", "42", "--auto")
+    [state] = states
+    assert code == 0 and out.startswith(f"kappa={state.kappa}\n")
+    network = random_strongly_connected(8, 0.3, 42)
+    assert state.kappa == radio.choose_kappa(8, radio.measure_broadcast_rounds(network))
 
 
 def test_simulate_one_node_network(tmp_path, capsys):

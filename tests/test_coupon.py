@@ -369,7 +369,7 @@ def test_chernoff_tail_empirical_under_bound():
     (lambda: p_jump_bound(5, 0), "q must be at least 1"),
     (lambda: jump_blocks(4, 0), "q must be in [1, k], got 0"),
     (lambda: jump_blocks(4, 5), "q must be in [1, k], got 5"),
-    (lambda: isolation_gamma(1), "gamma is defined for k >= 2"),
+    (lambda: isolation_gamma(1), "k must be at least 2"),
     (lambda: chernoff_tail_empirical(0, 2, 10), "m must be at least 1"),
     (lambda: chernoff_tail_empirical(4, 1, 10), "k must be at least 2"),
     (lambda: chernoff_tail_empirical(4, 2, 0), "trials must be at least 1"),

@@ -25,7 +25,7 @@ from permsel.build import (
     substream_seed,
 )
 from permsel.errors import AttemptsExhaustedError, BudgetExceededError
-from permsel.selectors import VERIFY_TARGETS, verify
+from permsel.selectors import VERIFY_TARGETS, Selector, verify
 
 
 def linear_scan(k: int, universe_size: int, config: BuildConfig) -> int:
@@ -168,6 +168,18 @@ def test_refused_length_is_not_drawn(monkeypatch, target, mode, instances, budge
     assert_each_draw_verified_once(calls)
     # The longest length the budget accepts is drawn, and none past it.
     assert max(calls[::2]) == budget // instances
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify(Selector(4, (frozenset({0}),)), 2, "permutation", budget=-1),
+    lambda: build_verified(2, 4, BuildConfig(budget=-1, m_override=3)),
+    lambda: minimal_m_search(2, 4, BuildConfig(budget=-1, max_attempts=2)),
+], ids=["verify", "build_verified", "minimal_m_search"])
+def test_negative_budget_is_refused_before_any_draw(monkeypatch, call):
+    calls = count_calls(monkeypatch)
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        call()
+    assert calls == []
 
 
 def test_search_draws_each_set_once(monkeypatch):

@@ -9,12 +9,7 @@ import oracles
 from oracles import active_path_ell, audit_trace
 from permsel import radio
 from permsel.build import BuildConfig, build_verified
-from permsel.errors import (
-    BudgetExceededError,
-    NotStronglyConnectedError,
-    QuasiGossipFailedError,
-    UnreachableNodeError,
-)
+from permsel.errors import BudgetExceededError, NotStronglyConnectedError, QuasiGossipFailedError
 from permsel.radio import (
     Network,
     SimState,
@@ -231,17 +226,20 @@ def altered_record_audit():
     (lambda: network_from_text(""), "empty network file"),
     (lambda: network_from_text("\n \n"), "empty network file"),
     (lambda: network_from_text("2\n5: 0\n1: 0\n"), "node label 5 outside [0, 2)"),
-    (lambda: random_strongly_connected(0, 0.5, 1), "n must be at least 1"),
+    (lambda: random_strongly_connected(0, 0.5, 1), "a network needs at least 1 node, got 0"),
     (lambda: random_strongly_connected(5, 1.5, 1), "extra_edge_prob must be in [0, 1]"),
     (lambda: random_strongly_connected(5, -0.1, 1), "extra_edge_prob must be in [0, 1]"),
     (lambda: broadcast(net({1}, {0}), SimState(net({1}, {0})), 2), "unknown source label 2"),
     (lambda: disperse(net({1}, {0}), SimState(net({1}, {0})), 0), "mu must be at least 1"),
     (lambda: quasi_gossip(net({1}, {0}), SimState(net({1}, {0})), 0, cached_provider()),
-     "kappa must be at least 1"),
+     "kappa must be in [1, n], got kappa=0, n=2"),
+    (lambda: quasi_gossip(net({1}, {0}), SimState(net({1}, {0})), 3, cached_provider()),
+     "kappa must be in [1, n], got kappa=3, n=2"),
     (lambda: choose_kappa(5, 0), "broadcast_rounds must be at least 1"),
     (altered_record_audit, "round 0: trace inconsistent with the collision rule"),
 ], ids=["blank-file", "blank-lines", "label-out-of-range", "n-zero", "p-above-1", "p-below-0",
-        "source-n", "mu-zero", "kappa-zero", "no-broadcast-rounds", "altered-record"])
+        "source-n", "mu-zero", "kappa-zero", "kappa-above-n", "no-broadcast-rounds",
+        "altered-record"])
 def test_radio_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -282,12 +280,11 @@ def test_broadcast_star_one_pass():
 
 
 def test_broadcast_unreachable_reports_node():
-    g = net({1}, set(), {0})
-    with pytest.raises(UnreachableNodeError) as exc:
-        broadcast(g, SimState(g), 0)
-    assert exc.value.node == 2
     # An unreachable node proves the network is not strongly connected.
-    assert isinstance(exc.value, NotStronglyConnectedError)
+    g = net({1}, set(), {0})
+    with pytest.raises(NotStronglyConnectedError,
+                       match="^node 2 is not reachable from source 0$"):
+        broadcast(g, SimState(g), 0)
 
 
 def test_broadcast_unreachable_names_the_smallest_unreachable_node():
@@ -295,9 +292,9 @@ def test_broadcast_unreachable_names_the_smallest_unreachable_node():
     # and 4 are reachable yet above the smallest unreachable label, 1.
     g = net({3}, {0}, {1}, {4}, {0})
     st = SimState(g)
-    with pytest.raises(UnreachableNodeError) as exc:
+    with pytest.raises(NotStronglyConnectedError,
+                       match="^node 1 is not reachable from source 0$"):
         broadcast(g, st, 0)
-    assert (exc.value.source, exc.value.node) == (0, 1)
     # Pass 1 reaches 3 and 4; pass 2 reaches nothing and is recorded before
     # the raise.
     assert st.round == 2 * g.n
@@ -444,6 +441,14 @@ def test_gossip_deterministic():
     assert t1.to_text() == t2.to_text()
 
 
+def test_gossip_measures_kappa_when_none_is_given():
+    g = random_strongly_connected(8, 0.25, 7)
+    kappa = choose_kappa(g.n, measure_broadcast_rounds(g))
+    measured = gossip(g, None, cached_provider())
+    assert measured.kappa == kappa
+    assert measured.to_text() == gossip(g, kappa, cached_provider()).to_text()
+
+
 def test_gossip_rejects_weakly_connected():
     with pytest.raises(NotStronglyConnectedError, match="^network is not strongly connected$"):
         gossip(net({1}, set()), 1, cached_provider())
@@ -470,7 +475,7 @@ def test_choose_kappa_values():
     assert choose_kappa(4, 1) <= choose_kappa(4, 50) <= choose_kappa(4, 5000)
     # A one-node broadcast takes 0 rounds, and its kappa is 1.
     assert choose_kappa(1, 0) == 1
-    with pytest.raises(ValueError, match="n must be at least 1"):
+    with pytest.raises(ValueError, match="^a network needs at least 1 node, got 0$"):
         choose_kappa(0, 1)
 
 
