@@ -17,7 +17,8 @@ import numpy as np
 
 from .coupon import chernoff_alpha, chernoff_delta, isolation_gamma, tail_beta
 from .errors import AttemptsExhaustedError
-from .selectors import DEFAULT_BUDGET, Selector, _charge, check_request, check_target, verify
+from .selectors import (DEFAULT_BUDGET, Selector, _charge, _instances, check_request, check_target,
+                        verify)
 
 # Grid searched for the smallest constant c with c * beta**c < 1/16.
 C_GRID_STEP = 0.25
@@ -176,13 +177,14 @@ def minimal_m_search(k: int, universe_size: int, config: BuildConfig) -> int:
     failed at that length, so they cannot pass at any smaller one.
 
     A live trial is [seed, longest draw so far], the draw lent to its
-    later draws as their prefix, so each set is drawn once per search.  No
-    length past the longest the budget accepts (`_charge`) is probed; the
-    next one is refused, as a scan from m = 1 refuses it, if none passed.
+    later draws as their prefix, so each set is drawn once per search.  The
+    request and the budget are validated whatever the cap.  No length past
+    the longest the budget accepts is probed; the next one is refused
+    (`_charge`), as a scan from m = 1 refuses it, if none passed.
     """
     cap = _default_m(k, universe_size, config)
-    top = cap and min(cap, _charge(universe_size, 1, k, config.target, config.q,
-                                   config.size_mode, config.budget))
+    top = min(cap, config.budget // _instances(universe_size, k, config.target, config.q,
+                                               config.size_mode, config.budget))
     trials = [[substream_seed(config.seed, j), Selector(universe_size, ())]
               for j in range(config.max_attempts)]
 

@@ -7,6 +7,11 @@ collision from silence).  On top of this channel the module implements
 deterministic round-robin broadcast, the rumor-grouping Disperse loop, the
 selector-driven quasi-gossip protocol, and full gossip by schedule replay.
 
+A round's deliveries and collisions depend only on the network and the
+transmitter set, so a network resolves each transmitter set once: `step`
+keeps the first round of every set it meets on a network, and a later round
+of the same set only applies its deliveries.
+
 A rumor is identified by its originator's label, and every rumor set is an
 int bitmask: bit r is set when the set holds rumor r.  Union is `|`, and a
 set P is contained in H when `P & ~H == 0`.
@@ -45,7 +50,8 @@ def _check_node_count(n: int) -> None:
 class Network:
     """Directed graph on nodes 0..n-1, n >= 1.  An input self-loop is
     accepted and dropped from out_edges, because a node never delivers to
-    itself."""
+    itself.  `first_rounds`, not part of its value, is `step`'s record of
+    the first round of each transmitter set on this network."""
 
     out_edges: tuple[frozenset[int], ...]
 
@@ -63,6 +69,7 @@ class Network:
             for v in outs:
                 in_nbrs[v].add(u)
         object.__setattr__(self, "in_neighbors", tuple(frozenset(s) for s in in_nbrs))
+        object.__setattr__(self, "first_rounds", {})
 
     @property
     def n(self) -> int:
@@ -188,22 +195,22 @@ class SimState:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """One transmission round: who transmitted, who received from whom, and
-    which nodes saw a collision (two or more transmitting in-neighbors)."""
+    which nodes saw a collision (two or more transmitting in-neighbors).
+    `text` is the round's trace line without its index, shared by every
+    round of these transmitters on one network."""
 
     index: int
     phase: str
     transmitters: frozenset[int]
     received: tuple[tuple[int, int], ...]  # (receiver, sender), sorted by receiver
     collisions: frozenset[int]
+    text: str  # "tx={...} rx=[...] collisions=[...]"
 
     def line(self) -> str:
-        tx = ",".join(str(v) for v in sorted(self.transmitters))
-        rx = ",".join(f"{v}<-{u}" for v, u in self.received)
-        coll = ",".join(str(v) for v in sorted(self.collisions))
-        return f"round={self.index} tx={{{tx}}} rx=[{rx}] collisions=[{coll}]"
+        return f"round={self.index} {self.text}"
 
 
 def save_trace(path, state: SimState) -> None:
@@ -221,25 +228,37 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     iff it has exactly one transmitting in-neighbor.  The round's record is
     appended to `state.records`.
 
-    Each message is the transmitter's full rumor set as it was at the start
-    of the round: every message is read before any receiver's set grows.
-    A transmitter label outside [0, n) raises before the state changes.
+    The network resolves each transmitter set once: the first round of a
+    set on it is stored in `network.first_rounds`, and a later round of the
+    same set shares that record's outcome and text.  Each message is the
+    transmitter's full rumor set as it was at the start of the round: every
+    message is read before any receiver's set grows.  A transmitter label
+    outside [0, n) raises before the state changes and is never stored.
     """
     tx = frozenset(transmitters)
-    # A reached node's one sender, or None once a second sender reaches it.
-    sender: dict[int, Optional[int]] = {}
-    for u in tx:
-        if not 0 <= u < network.n:
-            raise ValueError(f"unknown transmitter label {u}")
-        for v in network.out_edges[u]:
-            sender[v] = None if v in sender else u
-    received = tuple(sorted((v, u) for v, u in sender.items() if u is not None))
-    collisions = frozenset(v for v, u in sender.items() if u is None)
+    first = network.first_rounds.get(tx)
+    if first is None:
+        # A reached node's one sender, or None once a second sender reaches it.
+        sender: dict[int, Optional[int]] = {}
+        for u in tx:
+            if not 0 <= u < network.n:
+                raise ValueError(f"unknown transmitter label {u}")
+            for v in network.out_edges[u]:
+                sender[v] = None if v in sender else u
+        received = tuple(sorted((v, u) for v, u in sender.items() if u is not None))
+        collisions = frozenset(v for v, u in sender.items() if u is None)
+        text = (f"tx={{{','.join(str(v) for v in sorted(tx))}}}"
+                f" rx=[{','.join(f'{v}<-{u}' for v, u in received)}]"
+                f" collisions=[{','.join(str(v) for v in sorted(collisions))}]")
+        record = network.first_rounds[tx] = RoundRecord(
+            state.round, phase, tx, received, collisions, text)
+    else:
+        record = RoundRecord(state.round, phase, first.transmitters, first.received,
+                             first.collisions, first.text)
     held = state.rumors_held
-    msgs = [held[u] for _, u in received]
-    for (v, _), msg in zip(received, msgs):
+    msgs = [held[u] for _, u in record.received]
+    for (v, _), msg in zip(record.received, msgs):
         held[v] |= msg
-    record = RoundRecord(state.round, phase, tx, received, collisions)
     state.charge(phase, 1)
     state.records.append(record)
     return record

@@ -193,22 +193,29 @@ def iter_subsets(universe_size: int, k: int, size_mode: str) -> Iterator[tuple[L
     return heapq.merge(*(combinations(range(universe_size), s) for s in _sizes(k, size_mode)))
 
 
-def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
-            size_mode: str, budget: int) -> int:
-    """Validate a verification of `target` on a selector of `length` sets
-    (see `check_request`) and charge it against a budget >= 0, raising before
-    any set is drawn or enumerated.  Returns budget // instances, the
-    longest length the budget accepts, since the cost grows with length.
-
-    The charge is (instances) * max(length, 1), counting each ordering of
-    a target set as an instance for the ordered targets.
-    """
+def _instances(universe_size: int, k: int, target: str, q: Optional[int], size_mode: str,
+               budget: int) -> int:
+    """Validate a verification of `target` (see `check_request`) and its
+    budget >= 0, and return the instances it enumerates, counting each
+    ordering of a target set as an instance for the ordered targets."""
     check_request(universe_size, k, target, q, size_mode)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    sizes = _sizes(k, size_mode)
     ordered = target in _ORDERED_TARGETS
-    instances = sum(comb(universe_size, s) * (factorial(s) if ordered else 1) for s in sizes)
+    return sum(comb(universe_size, s) * (factorial(s) if ordered else 1)
+               for s in _sizes(k, size_mode))
+
+
+def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
+            size_mode: str, budget: int) -> int:
+    """Validate a verification of `target` on a selector of `length` sets
+    (see `_instances`) and charge it against the budget, raising before any
+    set is drawn or enumerated.  Returns budget // instances, the longest
+    length the budget accepts, since the cost grows with length.
+
+    The charge is (instances) * max(length, 1).
+    """
+    instances = _instances(universe_size, k, target, q, size_mode, budget)
     cost = instances * max(length, 1)
     if cost > budget:
         raise BudgetExceededError(

@@ -1,7 +1,8 @@
 """The galloping `minimal_m_search` against the linear scan it replaced.
 
 `linear_scan` is the former implementation, kept here as the oracle: it
-tries m = 1, 2, 3, ... and at each length draws and verifies every trial
+refuses a bad request or budget as `build_verified` does, then tries
+m = 1, 2, 3, ... and at each length draws and verifies every trial
 (through `build`'s names, so a test can count its calls).  Both take their
 trials from config.max_attempts and their cap from config.m_override.
 Both are compared on the full outcome: the returned length, or the type and
@@ -25,11 +26,15 @@ from permsel.build import (
     substream_seed,
 )
 from permsel.errors import AttemptsExhaustedError, BudgetExceededError
-from permsel.selectors import VERIFY_TARGETS, Selector, verify
+from permsel.selectors import VERIFY_TARGETS, Selector, check_request, verify
 
 
 def linear_scan(k: int, universe_size: int, config: BuildConfig) -> int:
     max_m = _default_m(k, universe_size, config)
+    # Refused whatever the cap, even one of 0 that scans no length.
+    check_request(universe_size, k, config.target, config.q, config.size_mode)
+    if config.budget < 0:
+        raise ValueError(f"budget must be non-negative, got {config.budget}")
     seeds = [substream_seed(config.seed, j) for j in range(config.max_attempts)]
     for m in range(1, max_m + 1):
         for s in seeds:
@@ -105,6 +110,18 @@ def test_bad_trials_and_negative_cap_match():
         BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=0)
     with pytest.raises(ValueError, match="m_override must be non-negative"):
         BuildConfig(seed=0, target="permutation", size_mode="exact", m_override=-4)
+
+
+@pytest.mark.parametrize("k,config,message", [
+    (2, BuildConfig(budget=-1, m_override=0), "^budget must be non-negative, got -1$"),
+    (5, BuildConfig(m_override=0), "^k=5 exceeds universe size 4$"),
+], ids=["negative-budget", "k-above-n"])
+def test_cap_of_zero_still_validates_request_and_budget(k, config, message):
+    # A cap of 0 probes no length, yet the search refuses what build_verified
+    # refuses with the same arguments.
+    for search in (minimal_m_search, build_verified):
+        with pytest.raises(ValueError, match=message):
+            search(k, 4, config)
 
 
 def count_calls(monkeypatch):

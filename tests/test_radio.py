@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+from hypothesis import given, settings, strategies
 import numpy as np
 import pytest
 
@@ -197,6 +198,65 @@ def test_step_refuses_a_bad_label_before_any_change(bad):
         step(g, st, [0, bad])
     assert st.rumors_held == [0b01, 0b10]
     assert (st.records, st.round, st.phase_rounds) == ([], 0, {})
+
+
+@strategies.composite
+def networks_and_schedule(draw):
+    """Two networks on the same nodes and a schedule of transmitter sets
+    drawn from a small pool (the empty set, the singletons and a few
+    others), so that sets repeat."""
+    n = draw(strategies.integers(1, 6))
+    labels = strategies.integers(0, n - 1)
+    edges = strategies.lists(strategies.sets(labels, max_size=n), min_size=n, max_size=n)
+    others = draw(strategies.lists(strategies.frozensets(labels, min_size=min(2, n)), max_size=3))
+    pool = [frozenset(), *(frozenset({v}) for v in range(n)), *others]
+    schedule = strategies.lists(strategies.sampled_from(pool), max_size=40)
+    return draw(edges), draw(edges), draw(schedule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks_and_schedule())
+def test_resolving_each_set_once_changes_nothing_observable(case):
+    # Each network keeps its own outcomes, and every round on it matches a
+    # round resolved from scratch on a fresh network with the same edges.
+    for out in case[:2]:
+        g = net(*out)
+        warm, cold = SimState(g), SimState(g)
+        for tx in case[2]:
+            rec = step(g, warm, tx)
+            ref = step(net(*out), cold, tx)
+            assert (rec.line(), rec.received, rec.collisions) == (
+                ref.line(), ref.received, ref.collisions)
+        assert warm.rumors_held == cold.rumors_held
+        assert warm.to_text() == cold.to_text()
+        assert audit_trace(g, warm)
+        assert set(g.first_rounds) == set(case[2])
+
+
+def test_networks_resolve_the_same_set_each_their_own_way():
+    # The second pass reads each network's stored round.
+    a, b = net({1}, set()), net(set(), {0})
+    for _ in range(2):
+        for g, rx in ((a, "1<-0"), (b, "0<-1")):
+            rec = step(g, SimState(g), {0, 1})
+            assert rec.line() == f"round=0 tx={{0,1}} rx=[{rx}] collisions=[]"
+
+
+@pytest.mark.parametrize("bad", [[3], [0, 3], [-1, 1]])
+def test_a_bad_label_on_a_warm_network_changes_nothing(bad):
+    g = net({1, 2}, {2}, {0})
+    st = SimState(g)
+    for tx in ({0}, {1}, {0, 1}, {0}, ()):
+        step(g, st, tx)
+    before = (list(st.rumors_held), st.round, list(st.records), dict(g.first_rounds))
+    with pytest.raises(ValueError, match="^unknown transmitter label (3|-1)$"):
+        step(g, st, bad)
+    assert (st.rumors_held, st.round, st.records, g.first_rounds) == before
+    # A valid round after the refusal still resolves correctly.
+    rec = step(g, st, {1, 2})
+    assert rec.line() == "round=5 tx={1,2} rx=[0<-2,2<-1] collisions=[]"
+    assert st.rumors_held == [0b111, 0b011, 0b111]
+    assert audit_trace(g, st)
 
 
 def test_step_messages_snapshot_at_round_start():
