@@ -9,8 +9,8 @@ selector-driven quasi-gossip protocol, and full gossip by schedule replay.
 
 A round's deliveries and collisions depend only on the network and the
 transmitter set, so a network resolves each transmitter set once: `step`
-keeps the first round of every set it meets on a network, and a later round
-of the same set only applies its deliveries.
+keeps the outcome of every set it meets on a network, and a later round of
+the same set only applies its deliveries.
 
 A rumor is identified by its originator's label, and every rumor set is an
 int bitmask: bit r is set when the set holds rumor r.  Union is `|`, and a
@@ -50,8 +50,8 @@ def _check_node_count(n: int) -> None:
 class Network:
     """Directed graph on nodes 0..n-1, n >= 1.  An input self-loop is
     accepted and dropped from out_edges, because a node never delivers to
-    itself.  `first_rounds`, not part of its value, is `step`'s record of
-    the first round of each transmitter set on this network."""
+    itself.  `outcomes`, not part of its value, is `step`'s record of the
+    outcome of each transmitter set on this network."""
 
     out_edges: tuple[frozenset[int], ...]
 
@@ -69,7 +69,7 @@ class Network:
             for v in outs:
                 in_nbrs[v].add(u)
         object.__setattr__(self, "in_neighbors", tuple(frozenset(s) for s in in_nbrs))
-        object.__setattr__(self, "first_rounds", {})
+        object.__setattr__(self, "outcomes", {})
 
     @property
     def n(self) -> int:
@@ -105,7 +105,7 @@ def network_from_text(text: str) -> Network:
         if len(set(outs)) != len(outs):
             raise ValueError(f"node {v} repeats an out-label: {line!r}")
         out_edges[v] = frozenset(outs)
-    return Network(tuple(s if s is not None else frozenset() for s in out_edges))
+    return Network(tuple(out_edges))
 
 
 def load_network(path) -> Network:
@@ -228,16 +228,17 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     iff it has exactly one transmitting in-neighbor.  The round's record is
     appended to `state.records`.
 
-    The network resolves each transmitter set once: the first round of a
-    set on it is stored in `network.first_rounds`, and a later round of the
-    same set shares that record's outcome and text.  Each message is the
-    transmitter's full rumor set as it was at the start of the round: every
-    message is read before any receiver's set grows.  A transmitter label
-    outside [0, n) raises before the state changes and is never stored.
+    The network resolves each transmitter set once: the set's
+    (transmitters, received, collisions, text) is stored in
+    `network.outcomes` on its first use there, and every round of the set
+    shares it.  Each message is the transmitter's full rumor set as it was
+    at the start of the round: every message is read before any receiver's
+    set grows.  A transmitter label outside [0, n) raises before the state
+    changes and is never stored.
     """
     tx = frozenset(transmitters)
-    first = network.first_rounds.get(tx)
-    if first is None:
+    outcome = network.outcomes.get(tx)
+    if outcome is None:
         # A reached node's one sender, or None once a second sender reaches it.
         sender: dict[int, Optional[int]] = {}
         for u in tx:
@@ -250,14 +251,12 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
         text = (f"tx={{{','.join(str(v) for v in sorted(tx))}}}"
                 f" rx=[{','.join(f'{v}<-{u}' for v, u in received)}]"
                 f" collisions=[{','.join(str(v) for v in sorted(collisions))}]")
-        record = network.first_rounds[tx] = RoundRecord(
-            state.round, phase, tx, received, collisions, text)
-    else:
-        record = RoundRecord(state.round, phase, first.transmitters, first.received,
-                             first.collisions, first.text)
+        outcome = network.outcomes[tx] = (tx, received, collisions, text)
+    tx, received, collisions, text = outcome
+    record = RoundRecord(state.round, phase, tx, received, collisions, text)
     held = state.rumors_held
-    msgs = [held[u] for _, u in record.received]
-    for (v, _), msg in zip(record.received, msgs):
+    msgs = [held[u] for _, u in received]
+    for (v, _), msg in zip(received, msgs):
         held[v] |= msg
     state.charge(phase, 1)
     state.records.append(record)
@@ -322,10 +321,10 @@ def disperse(network: Network, state: SimState, mu: int) -> int:
     if mu < 1:
         raise ValueError("mu must be at least 1")
     selections = 0
-    log_factor = math.ceil(math.log2(network.n)) if network.n > 1 else 0
+    log_factor = math.ceil(math.log2(network.n))
     while True:
         counts = [state.active_rumor_count(v) for v in range(network.n)]
-        best = max(counts, default=0)
+        best = max(counts)
         if best < mu:
             break
         source = counts.index(best)  # lowest label among the maxima
@@ -347,10 +346,8 @@ def check_quasi_gossip_done(state: SimState) -> bool:
 
 
 def _max_active_in_degree(network: Network, state: SimState) -> int:
-    return max(
-        (sum(state.active >> u & 1 for u in network.in_neighbors[v]) for v in range(network.n)),
-        default=0,
-    )
+    return max(sum(state.active >> u & 1 for u in network.in_neighbors[v])
+               for v in range(network.n))
 
 
 def quasi_gossip(network: Network, state: SimState, kappa: int,
@@ -385,7 +382,7 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
     done = check_quasi_gossip_done(state)
     if not done:
         selector = selector_provider(kappa, network.n)
-        iterations = math.ceil(math.log2(kappa)) + 1 if kappa > 1 else 1
+        iterations = math.ceil(math.log2(kappa)) + 1
         half = math.ceil(kappa / 2)
         for _ in range(iterations):
             active = state.active
@@ -427,11 +424,11 @@ def gossip(network: Network, kappa: Optional[int],
 
 
 def choose_kappa(n: int, broadcast_rounds: int) -> int:
-    """ceil((n * broadcast_rounds / log2 n)^(1/3)), kept within [1, n]; 1 when n = 1."""
+    """ceil((n * broadcast_rounds / log2 n)^(1/3)), at most n; 1 when n = 1."""
     _check_node_count(n)
     if n == 1:
         return 1
     if broadcast_rounds < 1:
         raise ValueError("broadcast_rounds must be at least 1")
     kappa = math.ceil((n * broadcast_rounds / math.log2(n)) ** (1.0 / 3.0))
-    return max(1, min(kappa, n))
+    return min(kappa, n)

@@ -207,11 +207,10 @@ def _instances(universe_size: int, k: int, target: str, q: Optional[int], size_m
 
 
 def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[int],
-            size_mode: str, budget: int) -> int:
+            size_mode: str, budget: int) -> None:
     """Validate a verification of `target` on a selector of `length` sets
     (see `_instances`) and charge it against the budget, raising before any
-    set is drawn or enumerated.  Returns budget // instances, the longest
-    length the budget accepts, since the cost grows with length.
+    set is drawn or enumerated.
 
     The charge is (instances) * max(length, 1).
     """
@@ -221,7 +220,6 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         raise BudgetExceededError(
             f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
         )
-    return budget // instances
 
 
 def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
@@ -354,7 +352,7 @@ def selector_to_text(selector: Selector, k: int) -> str:
 def selector_from_text(text: str) -> tuple[Selector, int]:
     """Parse the text format; returns (selector, k)."""
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise ValueError("empty selector file")

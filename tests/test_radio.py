@@ -230,11 +230,14 @@ def test_resolving_each_set_once_changes_nothing_observable(case):
         assert warm.rumors_held == cold.rumors_held
         assert warm.to_text() == cold.to_text()
         assert audit_trace(g, warm)
-        assert set(g.first_rounds) == set(case[2])
+        assert set(g.outcomes) == set(case[2])
+        for rec in warm.records:
+            assert g.outcomes[rec.transmitters] == (
+                rec.transmitters, rec.received, rec.collisions, rec.text)
 
 
 def test_networks_resolve_the_same_set_each_their_own_way():
-    # The second pass reads each network's stored round.
+    # The second pass reads each network's stored outcome.
     a, b = net({1}, set()), net(set(), {0})
     for _ in range(2):
         for g, rx in ((a, "1<-0"), (b, "0<-1")):
@@ -248,10 +251,10 @@ def test_a_bad_label_on_a_warm_network_changes_nothing(bad):
     st = SimState(g)
     for tx in ({0}, {1}, {0, 1}, {0}, ()):
         step(g, st, tx)
-    before = (list(st.rumors_held), st.round, list(st.records), dict(g.first_rounds))
+    before = (list(st.rumors_held), st.round, list(st.records), dict(g.outcomes))
     with pytest.raises(ValueError, match="^unknown transmitter label (3|-1)$"):
         step(g, st, bad)
-    assert (st.rumors_held, st.round, st.records, g.first_rounds) == before
+    assert (st.rumors_held, st.round, st.records, g.outcomes) == before
     # A valid round after the refusal still resolves correctly.
     rec = step(g, st, {1, 2})
     assert rec.line() == "round=5 tx={1,2} rx=[0<-2,2<-1] collisions=[]"
