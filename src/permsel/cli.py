@@ -164,9 +164,9 @@ def cmd_simulate(args) -> int:
         network = radio.random_strongly_connected(int(n), float(p), int(seed))
     if args.selector is not None:
         loaded, _ = _read("selector", selectors.load_selector, args.selector)
-        if loaded.universe_size != network.n:
-            raise ValueError(f"selector universe {loaded.universe_size} does not match "
-                             f"network size {network.n}")
+        # Checked here too, so a bad file exits 2 even when the run never
+        # reaches the selector phase.
+        radio.check_selector_universe(loaded, network.n)
         provider = lambda k, n: loaded
     else:
         config = build.BuildConfig(

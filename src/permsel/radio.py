@@ -195,12 +195,16 @@ class SimState:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundRecord:
     """One transmission round: who transmitted, who received from whom, and
     which nodes saw a collision (two or more transmitting in-neighbors).
     `text` is the round's trace line without its index, shared by every
-    round of these transmitters on one network."""
+    round of these transmitters on one network.  Slotted but not frozen:
+    `step` builds one record every round, and a frozen dataclass sets each
+    field through `object.__setattr__`, about four times the cost.  What a
+    record shares with other rounds is immutable: a reassigned field
+    changes that record alone."""
 
     index: int
     phase: str
@@ -239,25 +243,33 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     tx = frozenset(transmitters)
     outcome = network.outcomes.get(tx)
     if outcome is None:
+        n, out_edges = network.n, network.out_edges
         # A reached node's one sender, or None once a second sender reaches it.
         sender: dict[int, Optional[int]] = {}
         for u in tx:
-            if not 0 <= u < network.n:
+            if not 0 <= u < n:
                 raise ValueError(f"unknown transmitter label {u}")
-            for v in network.out_edges[u]:
+            for v in out_edges[u]:
                 sender[v] = None if v in sender else u
-        received = tuple(sorted((v, u) for v, u in sender.items() if u is not None))
-        collisions = frozenset(v for v, u in sender.items() if u is None)
-        text = (f"tx={{{','.join(str(v) for v in sorted(tx))}}}"
-                f" rx=[{','.join(f'{v}<-{u}' for v, u in received)}]"
-                f" collisions=[{','.join(str(v) for v in sorted(collisions))}]")
-        outcome = network.outcomes[tx] = (tx, received, collisions, text)
+        received, deliveries, collided = [], [], []
+        for v in sorted(sender):
+            u = sender[v]
+            if u is None:
+                collided.append(v)
+            else:
+                received.append((v, u))
+                deliveries.append(f"{v}<-{u}")
+        text = (f"tx={{{','.join(map(str, sorted(tx)))}}}"
+                f" rx=[{','.join(deliveries)}]"
+                f" collisions=[{','.join(map(str, collided))}]")
+        outcome = network.outcomes[tx] = (tx, tuple(received), frozenset(collided), text)
     tx, received, collisions, text = outcome
     record = RoundRecord(state.round, phase, tx, received, collisions, text)
-    held = state.rumors_held
-    msgs = [held[u] for _, u in received]
-    for (v, _), msg in zip(received, msgs):
-        held[v] |= msg
+    if received:
+        held = state.rumors_held
+        msgs = [held[u] for _, u in received]
+        for (v, _), msg in zip(received, msgs):
+            held[v] |= msg
     state.charge(phase, 1)
     state.records.append(record)
     return record
@@ -350,6 +362,14 @@ def _max_active_in_degree(network: Network, state: SimState) -> int:
                for v in range(network.n))
 
 
+def check_selector_universe(selector: Selector, n: int) -> None:
+    """A selector drives the rounds of a network only when its universe is
+    the network's node set."""
+    if selector.universe_size != n:
+        raise ValueError(f"selector universe {selector.universe_size} does not match "
+                         f"network size {n}")
+
+
 def quasi_gossip(network: Network, state: SimState, kappa: int,
                  selector_provider: Callable[[int, int], Selector]) -> None:
     """Run the quasi-gossip protocol:
@@ -366,7 +386,8 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
     either the in-neighborhood reduction after step 2 or the final
     postcondition fails (both would indicate a non-selector input or a
     simulator bug), so a run that returns met both.  A kappa outside
-    [1, n] is refused before the first round.
+    [1, n] is refused before the first round, and a selector whose
+    universe is not n before its first round (`check_selector_universe`).
     """
     if not 1 <= kappa <= network.n:
         raise ValueError(f"kappa must be in [1, n], got kappa={kappa}, n={network.n}")
@@ -382,6 +403,7 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
     done = check_quasi_gossip_done(state)
     if not done:
         selector = selector_provider(kappa, network.n)
+        check_selector_universe(selector, network.n)
         iterations = math.ceil(math.log2(kappa)) + 1
         half = math.ceil(kappa / 2)
         for _ in range(iterations):

@@ -364,10 +364,11 @@ def selector_from_text(text: str) -> tuple[Selector, int]:
         raise ValueError(f"header says m={m} sets but file has {len(lines) - 1} set lines")
     sets = []
     for t, line in enumerate(lines[1:]):
-        labels = [int(w) for w in line.split()]
-        if len(set(labels)) != len(labels):
+        words = line.split()
+        labels = frozenset(map(int, words))
+        if len(labels) != len(words):
             raise ValueError(f"set {t} repeats a label: {line!r}")
-        sets.append(frozenset(labels))
+        sets.append(labels)
     return Selector(n, tuple(sets)), k
 
 

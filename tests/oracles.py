@@ -3,8 +3,10 @@
 They are slow or exhaustive on purpose, and nothing in `permsel` calls
 them: the enumeration oracle of the coupon probabilities, the simulated
 isolation-count tail, the isolation test of one set written from the
-definition, the active-path DFS of the quasi-gossip analysis, and an
-independent copy of the collision rule that audits a recorded run.
+definition, the active-path DFS of the quasi-gossip analysis, an
+independent copy of the collision rule that audits a recorded run, and
+the earlier resolve-and-format body of `radio.step` that a set's stored
+outcome is checked against.
 """
 
 from __future__ import annotations
@@ -109,6 +111,25 @@ def audit_trace(network: Network, state: SimState) -> bool:
         if received != rec.received or collisions != rec.collisions:
             raise ValueError(f"round {rec.index}: trace inconsistent with the collision rule")
     return True
+
+
+def resolve_round(network: Network, transmitters: Iterable[int]) -> tuple:
+    """The (transmitters, received, collisions, text) outcome of one round,
+    resolved and formatted as `radio.step` did before it sorted once per
+    set: a sender map over the transmitters, then sorted comprehensions."""
+    tx = frozenset(transmitters)
+    sender: dict[int, Optional[int]] = {}
+    for u in tx:
+        if not 0 <= u < network.n:
+            raise ValueError(f"unknown transmitter label {u}")
+        for v in network.out_edges[u]:
+            sender[v] = None if v in sender else u
+    received = tuple(sorted((v, u) for v, u in sender.items() if u is not None))
+    collisions = frozenset(v for v, u in sender.items() if u is None)
+    text = (f"tx={{{','.join(str(v) for v in sorted(tx))}}}"
+            f" rx=[{','.join(f'{v}<-{u}' for v, u in received)}]"
+            f" collisions=[{','.join(str(v) for v in sorted(collisions))}]")
+    return tx, received, collisions, text
 
 
 def _labels(mask: int) -> list[int]:

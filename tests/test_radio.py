@@ -2,7 +2,7 @@ import dataclasses
 import math
 import re
 
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 import numpy as np
 import pytest
 
@@ -13,6 +13,7 @@ from permsel.build import BuildConfig, build_verified
 from permsel.errors import BudgetExceededError, NotStronglyConnectedError, QuasiGossipFailedError
 from permsel.radio import (
     Network,
+    RoundRecord,
     SimState,
     broadcast,
     check_quasi_gossip_done,
@@ -216,9 +217,13 @@ def networks_and_schedule(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(networks_and_schedule())
+@example(([{1, 2}, {2}, {0, 1}], [{1}, {0}, set()], [frozenset({0, 1}), frozenset(),
+                                                    frozenset({0, 1})]))
 def test_resolving_each_set_once_changes_nothing_observable(case):
     # Each network keeps its own outcomes, and every round on it matches a
     # round resolved from scratch on a fresh network with the same edges.
+    # Each stored outcome is also the one the earlier body of `step`
+    # (`oracles.resolve_round`) resolves and formats for its set.
     for out in case[:2]:
         g = net(*out)
         warm, cold = SimState(g), SimState(g)
@@ -234,6 +239,25 @@ def test_resolving_each_set_once_changes_nothing_observable(case):
         for rec in warm.records:
             assert g.outcomes[rec.transmitters] == (
                 rec.transmitters, rec.received, rec.collisions, rec.text)
+        for tx, outcome in g.outcomes.items():
+            assert outcome == oracles.resolve_round(g, tx)
+
+
+def test_rounds_of_one_set_get_records_of_their_own():
+    # Records are not frozen: assigning to one leaves every other round of
+    # its set, and the stored outcome, as they were.
+    g = net({1, 2}, {2}, {0, 1})
+    st = SimState(g)
+    first, second = step(g, st, {0, 1}), step(g, st, {0, 1})
+    assert first is not second and first.text is second.text
+    outcome = g.outcomes[frozenset({0, 1})]
+    assert outcome == (frozenset({0, 1}), ((1, 0),), frozenset({2}), "tx={0,1} rx=[1<-0] collisions=[2]")
+    kept = dataclasses.replace(second)
+    for field in dataclasses.fields(RoundRecord):
+        setattr(first, field.name, None)
+    assert second == kept and second.line() == "round=1 tx={0,1} rx=[1<-0] collisions=[2]"
+    assert g.outcomes == {frozenset({0, 1}): outcome}
+    assert step(g, st, {0, 1}).line() == "round=2 tx={0,1} rx=[1<-0] collisions=[2]"
 
 
 def test_networks_resolve_the_same_set_each_their_own_way():
@@ -460,6 +484,29 @@ def test_quasi_gossip_enters_selector_loop_on_sparse_cycle(monkeypatch):
     quasi_gossip(g, st, 6, cached_provider())
     assert mus[0] == 6 and len(mus) >= 2 and set(mus[1:]) == {3}  # line 4, then each iteration
     assert st.phase_rounds.get("selector", 0) > 0
+
+
+def formula_selector(universe, kappa=8, m=256):
+    """A fixed selector over [0, universe) of m sets, drawn by a formula."""
+    return Selector(universe, tuple(
+        frozenset(x for x in range(universe) if (t * t + 3 * x * t + x * x + 5 * t) % kappa == 0)
+        for t in range(m)))
+
+
+@pytest.mark.parametrize("universe", [24, 6])
+def test_quasi_gossip_refuses_a_selector_over_another_universe(universe):
+    # This run reaches the selector phase (512 selector rounds with a
+    # universe of 12); a selector over any other universe is refused before
+    # its first round, through the API as through the CLI.
+    g = random_strongly_connected(12, 0.0, 0)
+    message = f"^selector universe {universe} does not match network size 12$"
+    st = SimState(g)
+    with pytest.raises(ValueError, match=message):
+        quasi_gossip(g, st, 8, lambda k, n: formula_selector(universe))
+    assert "selector" not in st.phase_rounds
+    with pytest.raises(ValueError, match=message):
+        gossip(g, 8, lambda k, n: formula_selector(universe))
+    assert gossip(g, 8, lambda k, n: formula_selector(12)).phase_rounds["selector"] == 512
 
 
 def test_quasi_gossip_fails_with_useless_selector():

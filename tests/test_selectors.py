@@ -428,3 +428,13 @@ def test_text_parse_errors():
 def test_text_rejects_repeated_label():
     with pytest.raises(ValueError, match="repeats a label"):
         selector_from_text("3 2 2\n0 0 1\n2\n")
+    # A label repeated under another spelling is the same label.
+    for line in ("1 01", "+1 1"):
+        with pytest.raises(ValueError, match=f"^set 0 repeats a label: {re.escape(repr(line))}$"):
+            selector_from_text(f"3 2 2\n{line}\n2\n")
+
+
+def test_text_reads_signed_and_padded_labels_and_crlf():
+    assert selector_from_text("4 2 2\n+2 03\n\n") == (sel(4, {2, 3}, set()), 2)
+    text = selector_to_text(sel(5, {0, 3}, set(), {1, 2, 4}), 2)
+    assert selector_from_text(text.replace("\n", "\r\n")) == selector_from_text(text)
