@@ -1,14 +1,7 @@
 #!/usr/bin/env python3
 """Walk through what a selector is and what the four verifiers check."""
 
-from permsel import (
-    Selector,
-    verify,
-    verify_kq_permutation_selector,
-    verify_kq_selector,
-    verify_permutation_selector,
-    verify_strong,
-)
+from permsel import Selector, verify
 
 print("=" * 64)
 print("Isolation: a set S isolates x from X when S & X == {x}")
@@ -32,7 +25,7 @@ print("X={0,1}: 0 is isolated at times 0 and 2, 1 at time 1.  The permutation")
 print("check of each prefix names the first order of X it misses:")
 for t in range(1, len(sel) + 1):
     prefix = Selector(2, sel.sets[:t])
-    print(f"  first {t} set(s): {verify_permutation_selector(prefix, 2).format()}")
+    print(f"  first {t} set(s): {verify(prefix, 2, 'permutation').format()}")
 
 print()
 print("=" * 64)
@@ -42,24 +35,24 @@ print("=" * 64)
 print()
 print("strong: every element of every k-set gets isolated at some time")
 wide = Selector(2, (frozenset({0, 1}),))
-print("  single set {0,1}, k=2:", verify_strong(wide, 2).format())
-print("  ({0},{1},{0}),  k=2:", verify_strong(sel, 2).format())
+print("  single set {0,1}, k=2:", verify(wide, 2, "strong").format())
+print("  ({0},{1},{0}),  k=2:", verify(sel, 2, "strong").format())
 
 print()
 print("permutation: additionally every ORDER of every k-set is matched")
-print("  ({0},{1},{0}), k=2:", verify_permutation_selector(sel, 2).format())
+print("  ({0},{1},{0}), k=2:", verify(sel, 2, "permutation").format())
 two = Selector(2, (frozenset({0}), frozenset({1})))
-print("  ({0},{1}),    k=2:", verify_permutation_selector(two, 2).format())
+print("  ({0},{1}),    k=2:", verify(two, 2, "permutation").format())
 print("  (two events cannot contain both (0,1) and (1,0))")
 
 print()
 print("(k,q): at least q distinct elements of each k-set are isolated")
 part = Selector(3, (frozenset({0}), frozenset({2})))
-print("  ({0},{2}), k=2, q=1 over N=3:", verify_kq_selector(part, 2, 1).format())
+print("  ({0},{2}), k=2, q=1 over N=3:", verify(part, 2, "kq", 1).format())
 
 print()
 print("(k,q)-ordered: some q elements appear in the requested order;")
 print("checked via the longest increasing subsequence of trace positions")
 rev = Selector(2, (frozenset({1}), frozenset({0})))
-print("  ({1},{0}), k=2, q=1:", verify_kq_permutation_selector(rev, 2, 1).format())
-print("  ({1},{0}), k=2, q=2:", verify_kq_permutation_selector(rev, 2, 2).format())
+print("  ({1},{0}), k=2, q=1:", verify(rev, 2, "kq_permutation", 1).format())
+print("  ({1},{0}), k=2, q=2:", verify(rev, 2, "kq_permutation", 2).format())

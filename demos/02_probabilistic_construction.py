@@ -9,7 +9,7 @@ from permsel import (
     minimal_m_search,
     random_selector,
     union_bound_value,
-    verify_permutation_selector,
+    verify,
 )
 
 print("=" * 64)
@@ -47,7 +47,7 @@ print("=" * 64)
 cfg = BuildConfig(seed=3, target="permutation", size_mode="up_to", m_override=16)
 selector, attempts = build_verified(2, 4, cfg)
 print(f"(2,4) ordered target at m=16: success on attempt {attempts}")
-print("re-verification:", verify_permutation_selector(selector, 2, "up_to").format())
+print("re-verification:", verify(selector, 2, "permutation", size_mode="up_to").format())
 
 print()
 print("The theoretical m is very conservative at desk scale; the")

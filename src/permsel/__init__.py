@@ -10,8 +10,6 @@ from .build import (
     random_selector,
 )
 from .coupon import (
-    p_bound,
-    p_exact,
     p_jump_bound,
     p_jump_exact,
     p_monte_carlo,
@@ -46,10 +44,6 @@ from .selectors import (
     load_selector,
     save_selector,
     verify,
-    verify_kq_permutation_selector,
-    verify_kq_selector,
-    verify_permutation_selector,
-    verify_strong,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -131,7 +131,7 @@ def cmd_prob(args) -> int:
         parts.append(f"ratio={ratio!r}")
     lines = [" ".join(parts)]
     if args.trials:
-        est, se = coupon.p_monte_carlo(args.ell, args.k, args.q, args.trials, args.seed)
+        est, se = coupon.p_monte_carlo(args.ell, args.k, blocks, args.trials, args.seed)
         lines.append(f"mc_estimate={est!r} mc_std_error={se!r} trials={args.trials}")
     print("\n".join(lines))
     return EXIT_OK

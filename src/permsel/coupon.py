@@ -1,11 +1,10 @@
 """Exact values, bounds and estimates of the coupon-subsequence probabilities.
 
 For a uniform random sequence of length ell over the alphabet {0..k-1},
-`p_exact` is the probability that 0,1,...,k-1 does NOT occur as a
-subsequence; `p_jump_exact` is the same for "jump" subsequences that pick
-one symbol from each of q consecutive equal blocks of the alphabet, in
-block order.  Every closed form has a floating-point upper bound and a
-Monte-Carlo estimator.
+`p_jump_exact` is the probability that no "jump" subsequence occurs: one
+symbol from each of q consecutive equal blocks of the alphabet, in block
+order.  At q = k that is the plain pattern 0,1,...,k-1.  The closed form
+has a floating-point upper bound and a Monte-Carlo estimator.
 
 All exact values are `fractions.Fraction`s computed in integer arithmetic;
 floats appear only in the bounds and estimators.
@@ -33,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -55,11 +54,12 @@ def _validate_ell_k(ell: int, k: int) -> None:
 
 def p_exact(ell: int, k: int) -> Fraction:
     """Probability that a uniform length-ell sequence over {0..k-1} does not
-    contain 0,1,...,k-1 as a subsequence.
+    contain 0,1,...,k-1 as a subsequence: `p_jump_exact(ell, k, k)`, the
+    jump pattern with q = k blocks of one symbol, named so that
+    perfbench/tracer.py can time it.  Call `p_jump_exact`.
 
     Closed form: sum_{j=0}^{k-1} C(ell,j) (k-1)^(ell-j) / k^ell.  For
-    ell < k the sum telescopes to exactly 1 (the pattern cannot fit).  The
-    plain pattern is the jump pattern with q = k blocks of one symbol.
+    ell < k the sum telescopes to exactly 1 (the pattern cannot fit).
     """
     return p_jump_exact(ell, k, k)
 
@@ -94,7 +94,7 @@ def _missing_words(ell: int, k: int, q: int) -> int:
 
 def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
     """p_jump_exact(ell, k, q) for ell = ell_min..ell_max, in order, by the
-    recurrence in the module docstring (q = k gives p_exact).
+    recurrence in the module docstring.
 
     The inputs are checked here, before the first value is computed, and
     an empty range is an error.
@@ -127,7 +127,9 @@ def _sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
 # ---------------------------------------------------------------------------
 
 def p_bound(ell: int, k: int) -> float:
-    """The analytic upper bound exp(-ell/k) * (2 ell / k)^k on p_exact, for ell >= k."""
+    """The analytic upper bound exp(-ell/k) * (2 ell / k)^k on p_exact, for ell >= k
+    and k >= 2: `p_jump_bound(ell, k)`, named so that perfbench/tracer.py can
+    time it.  Call `p_jump_bound`."""
     _validate_ell_k(ell, k)
     return p_jump_bound(ell, k)
 
@@ -165,11 +167,11 @@ def jump_blocks(k: int, q: int) -> list[range]:
     return blocks
 
 
-def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_000,
+def p_monte_carlo(ell: int, k: int, q: int, trials: int = 10_000,
                   seed: int = 0) -> tuple[float, float]:
-    """Frequency estimate of p_exact (q=None) or p_jump_exact, with its
-    binomial standard error.  Unlike the exact forms, any q <= k is allowed;
-    uneven blocks follow `jump_blocks`.
+    """Frequency estimate of p_jump_exact (q = k is the plain pattern), with
+    its binomial standard error.  Unlike the exact forms, any q <= k is
+    allowed; uneven blocks follow `jump_blocks`.
 
     Trials are drawn and scanned in chunks (see MC_CHUNK), so memory is
     O(max(MC_MAX_ELEMENTS, ell)) whatever the number of trials.
@@ -177,11 +179,10 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
     _validate_ell_k(ell, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    goal = k if q is None else q
-    # Stages never exceed goal, so the smallest type that holds it will do.
-    stage_type = np.min_scalar_type(goal)
+    # Stages never exceed q, so the smallest type that holds it will do.
+    stage_type = np.min_scalar_type(q)
     block_of = np.empty(k, dtype=stage_type)
-    for h, block in enumerate(jump_blocks(k, goal)):
+    for h, block in enumerate(jump_blocks(k, q)):
         block_of[list(block)] = h
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     misses = 0
@@ -195,7 +196,7 @@ def p_monte_carlo(ell: int, k: int, q: Optional[int] = None, trials: int = 10_00
         state = np.zeros(rows, dtype=stage_type)
         for letter_blocks in blocks:
             state += letter_blocks == state
-        misses += int(np.count_nonzero(state < goal))
+        misses += int(np.count_nonzero(state < q))
     estimate = misses / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, std_error

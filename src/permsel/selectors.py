@@ -236,13 +236,13 @@ def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_strong(selector: Selector, k: int, size_mode: str = "exact",
-                  budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that every element of every target set is isolated by some set.
+# `verify`'s bodies, one per target, named so that perfbench/tracer.py can
+# time each target.  Call `verify`, which checks the request first.
 
-    Mode "exact" ranges over sets of size exactly k, "up_to" over sizes
-    1..k.  Returns the lexicographically smallest failing (X, x).
-    """
+def verify_strong(selector: Selector, k: int, size_mode: str, budget: int) -> Verdict:
+    """`verify`'s body for "strong": every element of every target set is
+    isolated by some set.  Returns the lexicographically smallest failing
+    (X, x)."""
     for x_tuple, iso in _isolations(selector, k, "strong", None, size_mode, budget):
         for x, times in zip(x_tuple, iso):
             if not times:
@@ -270,31 +270,25 @@ def _verify_ordered(selector: Selector, k: int, q: int, size_mode: str, budget: 
     return OK
 
 
-def verify_permutation_selector(selector: Selector, k: int, size_mode: str = "exact",
-                                budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that every ordering of every target set is isolated in order:
-    the (k, q)-permutation check at q = k."""
+def verify_permutation_selector(selector: Selector, k: int, size_mode: str, budget: int) -> Verdict:
+    """`verify`'s body for "permutation": every ordering of every target set
+    is isolated in order, the (k, q)-permutation check at q = k."""
     return _verify_ordered(selector, k, k, size_mode, budget)
 
 
-def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str = "exact",
-                       budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that at least q distinct elements of every target set are isolated.
-
-    For target sets smaller than q (possible in up_to mode) the requirement
-    drops to the set's size.
-    """
+def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str, budget: int) -> Verdict:
+    """`verify`'s body for "kq": at least q distinct elements of every target
+    set are isolated (all of a set smaller than q, possible in up_to mode)."""
     for x_tuple, iso in _isolations(selector, k, "kq", q, size_mode, budget):
         if len(iso) - iso.count(0) < min(q, len(x_tuple)):
             return Verdict(ok=False, x_set=x_tuple)
     return OK
 
 
-def verify_kq_permutation_selector(selector: Selector, k: int, q: int,
-                                   size_mode: str = "exact",
-                                   budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Check that some q elements of every ordering are isolated in that order
-    (q capped at the instance size in up_to mode)."""
+def verify_kq_permutation_selector(selector: Selector, k: int, q: int, size_mode: str,
+                                   budget: int) -> Verdict:
+    """`verify`'s body for "kq_permutation": some q elements of every ordering
+    are isolated in that order (q capped at the set's size in up_to mode)."""
     return _verify_ordered(selector, k, q, size_mode, budget)
 
 

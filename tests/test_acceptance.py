@@ -21,8 +21,6 @@ from permsel.build import (
 from permsel.cli import main as cli_main
 from permsel.coupon import (
     chernoff_alpha,
-    p_bound,
-    p_exact,
     p_jump_bound,
     p_jump_exact,
     union_bound_value,
@@ -40,9 +38,7 @@ from permsel.selectors import (
     _isolation_times,
     _ordered_count,
     _trace_events,
-    verify_kq_permutation_selector,
-    verify_permutation_selector,
-    verify_strong,
+    verify,
 )
 
 
@@ -57,9 +53,9 @@ def _report(number, label):
 def test_criterion_01_exact_formula_equivalence():
     for k in (2, 3, 4):
         for ell in range(k, 11):
-            assert p_exact(ell, k) == p_jump_bruteforce(ell, k, k)
+            assert p_jump_exact(ell, k, k) == p_jump_bruteforce(ell, k, k)
     for ell in range(2, 21):
-        assert p_exact(ell, 2) == p_jump_bruteforce(ell, 2, 2)
+        assert p_jump_exact(ell, 2, 2) == p_jump_bruteforce(ell, 2, 2)
     for k in (2, 4):
         for q in (x for x in range(1, k + 1) if k % x == 0):
             for ell in range(1, 9):
@@ -77,7 +73,7 @@ def test_criterion_02_bound_domination():
 
     for k in (2, 3, 4):
         for ell in range(k, 41):
-            assert down(p_bound(ell, k)) >= p_exact(ell, k)
+            assert down(p_jump_bound(ell, k)) >= p_jump_exact(ell, k, k)
     for k in (2, 4):
         for q in (x for x in range(1, k + 1) if k % x == 0):
             for ell in range(q, 41):
@@ -103,14 +99,6 @@ def test_criterion_03_chernoff_empirical_tail():
 # 4. las vegas construction at minimal_m + 25%
 # ---------------------------------------------------------------------------
 
-def _reverify(selector, k, target, q, mode):
-    if target == "strong":
-        return verify_strong(selector, k, mode).ok
-    if target == "permutation":
-        return verify_permutation_selector(selector, k, mode).ok
-    return verify_kq_permutation_selector(selector, k, q, mode).ok
-
-
 def test_criterion_04_las_vegas_construction():
     cases = [(k, n, target, None)
              for k, n in ((2, 4), (2, 8), (3, 8), (3, 16))
@@ -126,7 +114,7 @@ def test_criterion_04_las_vegas_construction():
         selector, attempts = build_verified(k, n, build_cfg)
         assert attempts <= 50
         assert len(selector) == m_target
-        assert _reverify(selector, k, target, q, "up_to")
+        assert verify(selector, k, target, q, "up_to").ok
     _report(4, "all builds succeed within 50 attempts and re-verify")
 
 
@@ -138,7 +126,7 @@ def test_criterion_05_minimal_size_ground_truths():
     # Oracle: no length-2 selector over N=2 isolates both orders of {0,1}.
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     for sets in product(subsets, repeat=2):
-        assert not verify_permutation_selector(Selector(2, sets), 2, "exact").ok
+        assert not verify(Selector(2, sets), 2, "permutation", size_mode="exact").ok
     cfg = BuildConfig(seed=0, target="permutation", size_mode="exact", max_attempts=200)
     assert minimal_m_search(2, 2, cfg) == 3
     cfg1 = BuildConfig(seed=0, target="strong", size_mode="exact", max_attempts=5)
@@ -268,8 +256,8 @@ def test_criterion_09_verifier_cross_validation():
         m = 1 + (i * 7) % 12
         selector = random_selector(max(k, 2), n, m, seed=substream_seed(77, i))
         mode = ("exact", "up_to")[i % 2]
-        a = verify_permutation_selector(selector, k, mode)
-        b = verify_kq_permutation_selector(selector, k, k, mode)
+        a = verify(selector, k, "permutation", size_mode=mode)
+        b = verify(selector, k, "kq_permutation", k, mode)
         assert a == b
     # 500 (selector, instance) pairs: the in-order check (an LIS) equals the
     # index-tuple oracle.

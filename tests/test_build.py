@@ -17,12 +17,7 @@ from permsel.build import (
     tail_beta,
 )
 from permsel.errors import AttemptsExhaustedError
-from permsel.selectors import (
-    selector_to_text,
-    verify_kq_permutation_selector,
-    verify_permutation_selector,
-    verify_strong,
-)
+from permsel.selectors import selector_to_text, verify
 
 
 def test_gamma_k2():
@@ -143,7 +138,7 @@ def test_build_verified_small_permutation():
     cfg = BuildConfig(seed=3, target="permutation", size_mode="up_to", m_override=16)
     selector, attempts = build_verified(2, 4, cfg)
     assert attempts <= cfg.max_attempts
-    assert verify_permutation_selector(selector, 2, "up_to").ok
+    assert verify(selector, 2, "permutation", size_mode="up_to").ok
 
 
 def test_build_verified_uses_formula_m_by_default():
@@ -157,7 +152,7 @@ def test_build_verified_k1_full_universe():
     cfg = BuildConfig(seed=0, target="strong", size_mode="exact", m_override=1)
     selector, _ = build_verified(1, 5, cfg)
     assert selector.sets == (frozenset(range(5)),)
-    assert verify_strong(selector, 1).ok
+    assert verify(selector, 1, "strong").ok
 
 
 def test_build_verified_m_zero_exhausts():
@@ -169,13 +164,13 @@ def test_build_verified_m_zero_exhausts():
 def test_build_verified_kq_target():
     cfg = BuildConfig(seed=11, target="kq_permutation", size_mode="up_to", q=2, m_override=40)
     selector, _ = build_verified(4, 8, cfg)
-    assert verify_kq_permutation_selector(selector, 4, 2, "up_to").ok
+    assert verify(selector, 4, "kq_permutation", 2, "up_to").ok
 
 
 def test_build_verified_soundness_reverifies():
     cfg = BuildConfig(seed=21, target="strong", size_mode="exact", m_override=30)
     selector, _ = build_verified(3, 8, cfg)
-    assert verify_strong(selector, 3, "exact").ok
+    assert verify(selector, 3, "strong", size_mode="exact").ok
 
 
 def test_build_config_validation():
@@ -221,10 +216,10 @@ def test_minimal_m_passing_trial_is_monotone_in_m():
     m_star = minimal_m_search(2, 3, cfg)
     seeds = [substream_seed(0, j) for j in range(50)]
     passing = [s for s in seeds
-               if verify_permutation_selector(random_selector(2, 3, m_star, s), 2, "exact").ok]
+               if verify(random_selector(2, 3, m_star, s), 2, "permutation", size_mode="exact").ok]
     assert passing
     for s in passing[:3]:
-        assert verify_permutation_selector(random_selector(2, 3, m_star + 4, s), 2, "exact").ok
+        assert verify(random_selector(2, 3, m_star + 4, s), 2, "permutation", size_mode="exact").ok
 
 
 def test_minimal_m_exhausts_on_tiny_cap():

@@ -6,7 +6,7 @@ import pytest
 from permsel import build, coupon, radio
 from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected
-from permsel.selectors import load_selector, verify_permutation_selector
+from permsel.selectors import load_selector, verify
 
 
 def run(capsys, *argv):
@@ -27,7 +27,7 @@ def test_gen_writes_verified_selector(tmp_path, capsys):
     assert "gamma=0.5" in out and "attempts=" in out
     selector, k = load_selector(out_file)
     assert k == 2
-    assert verify_permutation_selector(selector, 2, "up_to").ok
+    assert verify(selector, 2, "permutation", size_mode="up_to").ok
 
 
 def test_gen_rejects_k_above_n(tmp_path, capsys):
@@ -242,6 +242,13 @@ def test_prob_huge_exact_value_prints_in_full(capsys):
     assert fields[1].startswith("p_bound=") and fields[2].startswith("ratio=")
 
 
+def test_prob_prints_where_python_has_no_digit_limit(capsys, monkeypatch):
+    # Before Python 3.10.7 sys has no int-to-str limit to lift.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, "prob", "--ell", "6", "-k", "4") == (
+        0, "p_exact=1971/2048 p_bound=18.073542972022814 ratio=18.779612382903462\n", "")
+
+
 def test_sweep_huge_exact_value_prints_in_full(capsys):
     # The denominator divides 50^2600, which has 4418 digits.
     limit = sys.get_int_max_str_digits()
@@ -414,6 +421,12 @@ def test_simulate_rejects_weakly_connected(tmp_path, capsys):
     ]:
         net_file.write_text(text, encoding="utf-8")
         assert run(capsys, "simulate", "--network", str(net_file), *kappa, "--auto") == (2, "", err)
+
+
+def test_simulate_fails_when_the_replay_leaves_a_rumor_out(capsys, monkeypatch):
+    monkeypatch.setattr(radio, "gossip_complete", lambda network, state: False)
+    assert run(capsys, "simulate", "--random", "8", "0.3", "42", "--auto") == (
+        1, "FAIL some node is missing rumors after the replay\n", "")
 
 
 def test_simulate_checks_connectivity_once(capsys, monkeypatch):

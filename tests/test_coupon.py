@@ -17,8 +17,6 @@ from permsel.coupon import (
     chernoff_alpha,
     isolation_gamma,
     jump_blocks,
-    p_bound,
-    p_exact,
     p_jump_bound,
     p_jump_exact,
     p_jump_sweep,
@@ -61,26 +59,26 @@ def test_jump_bruteforce_matches_naive_enumeration(ell, k, q):
 # ---------------------------------------------------------------------------
 
 def test_p_exact_known_values():
-    assert p_exact(2, 2) == Fraction(3, 4)
-    assert p_exact(3, 2) == Fraction(1, 2)
-    assert p_exact(4, 2) == Fraction(5, 16)
+    assert p_jump_exact(2, 2, 2) == Fraction(3, 4)
+    assert p_jump_exact(3, 2, 2) == Fraction(1, 2)
+    assert p_jump_exact(4, 2, 2) == Fraction(5, 16)
 
 
 def test_p_exact_short_sequences_are_certain_misses():
     for k in (2, 3, 5):
         for ell in range(1, k):
-            assert p_exact(ell, k) == 1
+            assert p_jump_exact(ell, k, k) == 1
 
 
 def test_p_exact_rejects_small_k():
     with pytest.raises(ValueError):
-        p_exact(3, 1)
+        p_jump_exact(3, 1, 1)
 
 
 def test_formula_matches_bruteforce_grid():
     for k in (2, 3, 4):
         for ell in range(1, 11):
-            assert p_exact(ell, k) == p_jump_bruteforce(ell, k, k)
+            assert p_jump_exact(ell, k, k) == p_jump_bruteforce(ell, k, k)
 
 
 def test_p_jump_known_values():
@@ -95,17 +93,18 @@ def test_p_jump_degenerate_q1_is_zero():
 
 
 def test_p_jump_reduces_to_p_exact_at_q_eq_k():
+    # At q = k every block is one symbol: the pattern is 0,1,...,k-1.
     for k in (2, 3):
         for ell in range(1, 9):
-            assert p_jump_exact(ell, k, k) == p_exact(ell, k)
+            assert p_jump_exact(ell, k, k) == naive_missing_fraction(ell, k, list(range(k)), k)
 
 
 def test_p_exact_matches_the_plain_closed_form():
-    # p_exact is computed as p_jump_exact at q = k; the plain sum is its oracle.
+    # The plain pattern is p_jump_exact at q = k; the plain sum is its oracle.
     for k in (2, 3, 7):
         for ell in (1, 2, 5, 40, 333):
             total = sum(comb(ell, j) * (k - 1) ** (ell - j) for j in range(min(k, ell + 1)))
-            assert p_exact(ell, k) == Fraction(total, k**ell)
+            assert p_jump_exact(ell, k, k) == Fraction(total, k**ell)
 
 
 def test_p_jump_rejects_non_divisor():
@@ -125,7 +124,7 @@ def test_jump_formula_matches_bruteforce_grid():
 @given(st.integers(2, 4), st.integers(1, 25))
 @settings(max_examples=80, deadline=None)
 def test_p_exact_monotone_decreasing_in_ell(k, ell):
-    assert p_exact(ell + 1, k) <= p_exact(ell, k)
+    assert p_jump_exact(ell + 1, k, k) <= p_jump_exact(ell, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def test_sweep_matches_closed_form(k, data, ell_min, length):
 
 
 def test_sweep_plain_is_q_equal_k():
-    assert list(p_jump_sweep(5, 5, 1, 30)) == [p_exact(ell, 5) for ell in range(1, 31)]
+    assert list(p_jump_sweep(5, 5, 1, 30)) == [p_jump_exact(ell, 5, 5) for ell in range(1, 31)]
 
 
 @pytest.mark.parametrize("args", [(1, 1, 5, 4), (7, 3, 5, 4), (7, 1, 0, -1), (7, 1, 5, 4),
@@ -186,16 +185,16 @@ def test_bruteforce_budget_refusal():
 # ---------------------------------------------------------------------------
 
 def test_p_bound_values_and_domination():
-    assert p_bound(4, 2) == pytest.approx(math.exp(-2) * 16, rel=1e-12)
-    assert p_bound(2, 2) == pytest.approx(math.exp(-1) * 4, rel=1e-12)
+    assert p_jump_bound(4, 2) == pytest.approx(math.exp(-2) * 16, rel=1e-12)
+    assert p_jump_bound(2, 2) == pytest.approx(math.exp(-1) * 4, rel=1e-12)
     for k in (2, 3, 4, 5, 6):
         for ell in range(k, 41):
-            assert Fraction(p_bound(ell, k)) >= p_exact(ell, k)
+            assert Fraction(p_jump_bound(ell, k)) >= p_jump_exact(ell, k, k)
 
 
 def test_p_bound_rejects_short():
     with pytest.raises(ValueError):
-        p_bound(1, 2)
+        p_jump_bound(1, 2)
 
 
 def test_p_jump_bound_values_and_domination():
@@ -212,9 +211,8 @@ def test_p_jump_bound_values_and_domination():
 def test_bounds_are_inf_past_the_float_range():
     # (2 * 1700 / 300)^300 overflows a float; a finite bound keeps its
     # expression bit for bit.
-    assert p_bound(1700, 300) == math.inf
     assert p_jump_bound(1700, 300) == math.inf
-    assert p_bound(40, 6) == math.exp(-40 / 6) * (2.0 * 40 / 6) ** 6
+    assert p_jump_bound(40, 6) == math.exp(-40 / 6) * (2.0 * 40 / 6) ** 6
 
 
 def test_p_jump_bound_rejects_short():
@@ -227,30 +225,29 @@ def test_p_jump_bound_rejects_short():
 # ---------------------------------------------------------------------------
 
 def test_monte_carlo_plain():
-    est, se = p_monte_carlo(3, 2, trials=100_000, seed=5)
+    est, se = p_monte_carlo(3, 2, 2, trials=100_000, seed=5)
     assert abs(est - 0.5) <= 3 * se
 
 
 def test_monte_carlo_plain_draws_are_pinned():
     # The plain pattern runs as the jump pattern with q = k blocks; the
     # estimates must not change with that.
-    assert p_monte_carlo(6, 3, trials=2000, seed=4) == (0.6735, 0.010485650909695592)
-    assert p_monte_carlo(9, 4, trials=500, seed=1) == (0.858, 0.01560999679692472)
+    assert p_monte_carlo(6, 3, 3, trials=2000, seed=4) == (0.6735, 0.010485650909695592)
+    assert p_monte_carlo(9, 4, 4, trials=500, seed=1) == (0.858, 0.01560999679692472)
 
 
 def one_draw_monte_carlo(ell, k, q, trials, seed):
     """The estimate from one (trials, ell) draw scanned column by column:
     the oracle for the chunked sampler."""
-    goal = k if q is None else q
     target_of_symbol = np.empty(k, dtype=np.int64)
-    for h, block in enumerate(jump_blocks(k, goal)):
+    for h, block in enumerate(jump_blocks(k, q)):
         target_of_symbol[list(block)] = h
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     seqs = rng.integers(0, k, size=(trials, ell))
     state = np.zeros(trials, dtype=np.int64)
     for j in range(ell):
         state += target_of_symbol[seqs[:, j]] == state
-    estimate = int(np.count_nonzero(state < goal)) / trials
+    estimate = int(np.count_nonzero(state < q)) / trials
     return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
 
 
@@ -263,12 +260,13 @@ def one_draw_monte_carlo(ell, k, q, trials, seed):
     (1, 2, 1, 10, 6),                      # q = 1 misses nothing
 ])
 def test_monte_carlo_matches_one_draw(ell, k, q, trials, seed):
+    q = k if q is None else q  # the plain pattern, as `prob` without -q runs it
     assert p_monte_carlo(ell, k, q, trials, seed) == one_draw_monte_carlo(ell, k, q, trials, seed)
 
 
 # Captured before trials were drawn in chunks.
 @pytest.mark.parametrize("args,trials,seed,expected", [
-    ((13, 5, None), 50_000, 2, (0.89878, 0.0013488848105008818)),
+    ((13, 5, 5), 50_000, 2, (0.89878, 0.0013488848105008818)),
     ((49, 30, 6), 50_000, 3, (0.15104, 0.0016014176119925746)),
     ((25, 7, 3), 50_001, 1, (0.0060998780024399514, 0.0003482110922940424)),
     ((143, 144, 12), 50_000, 11, (0.46986, 0.002232001704300425)),
@@ -291,14 +289,14 @@ def test_monte_carlo_peaks_near_nine_bytes_per_draw():
     # Ten trials of 4000 draws in one chunk: the 8-byte draw is freed once its
     # one-byte blocks are gathered, so the peak is about 9 bytes per draw
     # (361 kB), not 17 (682 kB, a transposed copy of the draw).
-    assert peak_bytes(lambda: p_monte_carlo(4000, 4, trials=10, seed=1)) < 450_000
+    assert peak_bytes(lambda: p_monte_carlo(4000, 4, 4, trials=10, seed=1)) < 450_000
 
 
 def test_monte_carlo_memory_is_bounded_by_elements(monkeypatch):
     # Ten trials of 4000 draws in one chunk peak near 360 kB in p_monte_carlo;
     # the cap 2**12 leaves one trial per chunk.
     monkeypatch.setattr(coupon, "MC_MAX_ELEMENTS", 2**12)
-    for call in (lambda: p_monte_carlo(4000, 4, trials=10, seed=1),
+    for call in (lambda: p_monte_carlo(4000, 4, 4, trials=10, seed=1),
                  lambda: chernoff_tail_empirical(400, 10, trials=10, seed=1)):
         assert peak_bytes(call) < 300_000
 
@@ -307,7 +305,7 @@ def test_monte_carlo_memory_is_bounded_by_elements(monkeypatch):
 def test_monte_carlo_short_chunks_match_one_draw(monkeypatch, max_elements):
     tail = chernoff_tail_empirical(40, 2, 1001, 1002)
     monkeypatch.setattr(coupon, "MC_MAX_ELEMENTS", max_elements)
-    for ell, k, q, trials, seed in [(9, 4, None, 301, 1), (16, 10, 4, 97, 4)]:
+    for ell, k, q, trials, seed in [(9, 4, 4, 301, 1), (16, 10, 4, 97, 4)]:
         assert p_monte_carlo(ell, k, q, trials, seed) == one_draw_monte_carlo(ell, k, q, trials, seed)
     assert chernoff_tail_empirical(40, 2, 1001, 1002) == tail
 
@@ -324,12 +322,12 @@ def test_monte_carlo_uneven_blocks():
 
 
 def test_monte_carlo_single_trial():
-    est, _ = p_monte_carlo(2, 2, trials=1, seed=8)
+    est, _ = p_monte_carlo(2, 2, 2, trials=1, seed=8)
     assert est in (0.0, 1.0)
 
 
 def test_monte_carlo_deterministic():
-    assert p_monte_carlo(4, 3, trials=500, seed=9) == p_monte_carlo(4, 3, trials=500, seed=9)
+    assert p_monte_carlo(4, 3, 3, trials=500, seed=9) == p_monte_carlo(4, 3, 3, trials=500, seed=9)
 
 
 def test_jump_blocks_partition():

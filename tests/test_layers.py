@@ -1,9 +1,12 @@
-"""Each module of the package imports only modules of earlier layers."""
+"""Each module of the package imports only modules of earlier layers, and
+the package exports one fixed set of names."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import permsel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "permsel"
 LAYERS = ("errors", "selectors", "coupon", "build", "radio", "cli")
@@ -34,3 +37,21 @@ def test_module_imports_only_earlier_layers(module):
 
 def test_coupon_imports_no_package_module():
     assert relative_imports(SRC / "coupon.py") == set()
+
+
+# One public entry per computation: the per-target verifier bodies and the
+# plain-pattern coupon forms are reached through `verify` and `p_jump_*`.
+PUBLIC_NAMES = [
+    "AttemptsExhaustedError", "BudgetExceededError", "BuildConfig", "GossipIncompleteError",
+    "Network", "NotStronglyConnectedError", "PermselError", "QuasiGossipFailedError",
+    "Selector", "SimState", "SizeParams", "VERIFY_TARGETS", "Verdict", "broadcast", "build",
+    "build_verified", "check_quasi_gossip_done", "choose_kappa", "coupon", "derive_size_params",
+    "disperse", "errors", "gossip", "is_strongly_connected", "lis_length", "load_selector",
+    "minimal_m_search", "p_jump_bound", "p_jump_exact", "p_monte_carlo", "quasi_gossip",
+    "radio", "random_selector", "random_strongly_connected", "save_selector", "selectors",
+    "step", "union_bound_value", "verify",
+]
+
+
+def test_public_api():
+    assert sorted(permsel.__all__) == PUBLIC_NAMES

@@ -35,10 +35,7 @@ from permsel.selectors import (
     _isolation_times,
     iter_subsets,
     lis_length,
-    verify_kq_permutation_selector,
-    verify_kq_selector,
-    verify_permutation_selector,
-    verify_strong,
+    verify,
 )
 
 SEEDS = range(100)
@@ -104,10 +101,11 @@ def random_case(seed):
 def test_verifiers_match_oracle(seed, mode):
     selector, k, q = random_case(seed)
     sets, n = selector.sets, selector.universe_size
-    assert verify_strong(selector, k, mode) == oracle_strong(sets, n, k, mode)
-    assert verify_permutation_selector(selector, k, mode) == oracle_permutation(sets, n, k, mode)
-    assert verify_kq_selector(selector, k, q, mode) == oracle_kq(sets, n, k, q, mode)
-    assert (verify_kq_permutation_selector(selector, k, q, mode)
+    assert verify(selector, k, "strong", size_mode=mode) == oracle_strong(sets, n, k, mode)
+    assert (verify(selector, k, "permutation", size_mode=mode)
+            == oracle_permutation(sets, n, k, mode))
+    assert verify(selector, k, "kq", q, mode) == oracle_kq(sets, n, k, q, mode)
+    assert (verify(selector, k, "kq_permutation", q, mode)
             == oracle_kq_permutation(sets, n, k, q, mode))
 
 
@@ -213,13 +211,14 @@ def assert_same_as_per_set(selector, k, modes=("exact", "up_to"), qs=None):
     """Equal full Verdicts for all four targets, the given modes and every q (default 1..k)."""
     outcomes = set()
     for mode in modes:
-        pairs = [(verify_strong(selector, k, mode), per_set_strong(selector, k, mode)),
-                 (verify_permutation_selector(selector, k, mode),
+        pairs = [(verify(selector, k, "strong", size_mode=mode),
+                  per_set_strong(selector, k, mode)),
+                 (verify(selector, k, "permutation", size_mode=mode),
                   per_set_permutation(selector, k, mode))]
         for q in qs or range(1, k + 1):
-            pairs.append((verify_kq_selector(selector, k, q, mode),
+            pairs.append((verify(selector, k, "kq", q, mode),
                           per_set_kq(selector, k, q, mode)))
-            pairs.append((verify_kq_permutation_selector(selector, k, q, mode),
+            pairs.append((verify(selector, k, "kq_permutation", q, mode),
                           per_set_kq_permutation(selector, k, q, mode)))
         for got, want in pairs:
             assert got == want, (selector, k, mode)
@@ -265,17 +264,18 @@ def test_per_set_grid_covers_its_corners():
     assert any(frozenset() in s.sets for s, _ in cases)
     assert any(len(set(s.sets)) < len(s) for s, _ in cases)
     # Both outcomes of every target occur, or the grid would pin little.
-    for verifier in (verify_strong, verify_permutation_selector):
-        assert {verifier(s, k, "up_to").ok for s, k in cases} == {True, False}
-    for verifier in (verify_kq_selector, verify_kq_permutation_selector):
-        assert {verifier(s, k, 2 if k > 1 else 1, "up_to").ok for s, k in cases} == {True, False}
+    for target in ("strong", "permutation"):
+        assert {verify(s, k, target, size_mode="up_to").ok for s, k in cases} == {True, False}
+    for target in ("kq", "kq_permutation"):
+        assert {verify(s, k, target, 2 if k > 1 else 1, "up_to").ok
+                for s, k in cases} == {True, False}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_passing_certify_sized_selectors_match_per_set_oracle(seed):
     # k=4 N=12 m=180 is the size the `certify` benchmark verifies.
     selector = random_selector(4, 12, 180, seed)
-    assert verify_permutation_selector(selector, 4, "up_to").ok
+    assert verify(selector, 4, "permutation", size_mode="up_to").ok
     qs = range(1, 5) if seed == 0 else (2,)
     assert assert_same_as_per_set(selector, 4, modes=("up_to",), qs=qs) == {True}
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, permutations, product
 import re
 
@@ -25,10 +26,6 @@ from permsel.selectors import (
     selector_from_text,
     selector_to_text,
     verify,
-    verify_kq_permutation_selector,
-    verify_kq_selector,
-    verify_permutation_selector,
-    verify_strong,
 )
 
 
@@ -138,79 +135,101 @@ def test_greedy_matches_exhaustive_oracle_exhaustively_small():
 
 def test_verify_strong_singletons_ok():
     s = singleton_selector(5)
-    assert verify_strong(s, 3, "exact").ok
-    assert verify_strong(s, 3, "up_to").ok
+    assert verify(s, 3, "strong", size_mode="exact").ok
+    assert verify(s, 3, "strong", size_mode="up_to").ok
 
 
 def test_verify_strong_counterexample_is_smallest():
-    v = verify_strong(sel(2, {0, 1}), 2, "exact")
+    v = verify(sel(2, {0, 1}), 2, "strong", size_mode="exact")
     assert not v.ok and v.x_set == (0, 1) and v.element == 0
     assert v.format() == "FAIL X={0,1} x=0"
 
 
 def test_verify_strong_derived_example():
-    assert verify_strong(sel(3, {0}, {1}, {2}, {0, 1}), 2, "exact").ok
+    assert verify(sel(3, {0}, {1}, {2}, {0, 1}), 2, "strong", size_mode="exact").ok
 
 
 def test_verify_strong_rejects_large_k():
     with pytest.raises(ValueError):
-        verify_strong(singleton_selector(3), 4)
+        verify(singleton_selector(3), 4, "strong")
 
 
 def test_verify_permutation_three_sets_two_labels():
-    assert verify_permutation_selector(sel(2, {0}, {1}, {0}), 2, "exact").ok
+    assert verify(sel(2, {0}, {1}, {0}), 2, "permutation", size_mode="exact").ok
 
 
 def test_no_length_two_selector_is_a_two_permutation_selector():
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
     for sets in product(subsets, repeat=2):
-        assert not verify_permutation_selector(Selector(2, sets), 2, "exact").ok
+        assert not verify(Selector(2, sets), 2, "permutation", size_mode="exact").ok
 
 
 def test_verify_permutation_counterexample_order():
-    v = verify_permutation_selector(sel(2, {0}, {1}), 2, "exact")
+    v = verify(sel(2, {0}, {1}), 2, "permutation", size_mode="exact")
     assert not v.ok and v.x_set == (0, 1) and v.order == (1, 0)
     assert not in_order(sel(2, {0}, {1}), v.order)
 
 
 def test_verify_kq_each_pair_has_one_isolated():
-    assert verify_kq_selector(sel(3, {0}, {2}), 2, 1, "exact").ok
+    assert verify(sel(3, {0}, {2}), 2, "kq", 1, "exact").ok
 
 
 def test_verify_kq_no_singleton_intersection():
-    v = verify_kq_selector(sel(3, {0, 1, 2}), 2, 1, "exact")
+    v = verify(sel(3, {0, 1, 2}), 2, "kq", 1, "exact")
     assert not v.ok and v.x_set == (0, 1)
 
 
 def test_verify_kq_equals_strong_at_q_eq_k():
     s = singleton_selector(4)
     for mode in ("exact", "up_to"):
-        assert verify_kq_selector(s, 3, 3, mode).ok == verify_strong(s, 3, mode).ok
+        assert verify(s, 3, "kq", 3, mode).ok == verify(s, 3, "strong", size_mode=mode).ok
 
 
 def test_kq_permutation_lis_examples():
     s = sel(2, {1}, {0})
-    assert verify_kq_permutation_selector(s, 2, 1, "exact").ok
-    v = verify_kq_permutation_selector(s, 2, 2, "exact")
+    assert verify(s, 2, "kq_permutation", 1, "exact").ok
+    v = verify(s, 2, "kq_permutation", 2, "exact")
     assert not v.ok and v.x_set == (0, 1) and v.order == (0, 1)
 
 
 def test_kq_permutation_rejects_bad_q():
     with pytest.raises(ValueError):
-        verify_kq_permutation_selector(singleton_selector(3), 2, 3)
+        verify(singleton_selector(3), 2, "kq_permutation", 3)
 
 
 def test_verify_dispatches_to_each_target():
     s = sel(3, {0}, {1, 2}, {2})
+    budget = selectors.DEFAULT_BUDGET
     expected = {
-        "strong": verify_strong(s, 2, "up_to"),
-        "permutation": verify_permutation_selector(s, 2, "up_to"),
-        "kq": verify_kq_selector(s, 2, 2, "up_to"),
-        "kq_permutation": verify_kq_permutation_selector(s, 2, 2, "up_to"),
+        "strong": selectors.verify_strong(s, 2, "up_to", budget),
+        "permutation": selectors.verify_permutation_selector(s, 2, "up_to", budget),
+        "kq": selectors.verify_kq_selector(s, 2, 2, "up_to", budget),
+        "kq_permutation": selectors.verify_kq_permutation_selector(s, 2, 2, "up_to", budget),
     }
     assert set(expected) == set(VERIFY_TARGETS)
     for target, verdict in expected.items():
         assert verify(s, 2, target, q=2, size_mode="up_to") == verdict
+
+
+HOOKS = {"strong": "verify_strong", "permutation": "verify_permutation_selector",
+         "kq": "verify_kq_selector", "kq_permutation": "verify_kq_permutation_selector"}
+
+
+def counting(name, hook, calls):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return hook(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("target", VERIFY_TARGETS)
+def test_verify_reaches_its_target_hook_once(monkeypatch, target):
+    # The benchmark's traced runs count one hook call per verify.
+    calls = Counter()
+    for name in HOOKS.values():
+        monkeypatch.setattr(selectors, name, counting(name, getattr(selectors, name), calls))
+    verify(sel(3, {0}, {1, 2}, {2}), 2, target, q=2, size_mode="up_to")
+    assert calls == {HOOKS[target]: 1}
 
 
 def test_verify_rejects_unknown_target_and_missing_q():
@@ -223,7 +242,7 @@ def test_verify_rejects_unknown_target_and_missing_q():
 
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        verify_permutation_selector(singleton_selector(12), 8, "exact", budget=1000)
+        verify(singleton_selector(12), 8, "permutation", size_mode="exact", budget=1000)
 
 
 @pytest.mark.parametrize("target,cost", [("strong", 5940), ("kq", 5940),
@@ -302,10 +321,10 @@ def test_appending_sets_preserves_ok(k_extra, data):
     grown = Selector(n, s.sets + (extra,))
     for k in (1, 2):
         for mode in ("exact", "up_to"):
-            if verify_permutation_selector(s, k, mode).ok:
-                assert verify_permutation_selector(grown, k, mode).ok
-            if verify_strong(s, k, mode).ok:
-                assert verify_strong(grown, k, mode).ok
+            if verify(s, k, "permutation", size_mode=mode).ok:
+                assert verify(grown, k, "permutation", size_mode=mode).ok
+            if verify(s, k, "strong", size_mode=mode).ok:
+                assert verify(grown, k, "strong", size_mode=mode).ok
 
 
 def test_prefix_of_isolated_order_is_isolated():
@@ -319,8 +338,8 @@ def test_prefix_of_isolated_order_is_isolated():
 def test_permutation_ok_implies_strong_ok():
     s = sel(3, {0}, {1}, {2}, {0}, {1}, {2})
     for k in (1, 2):
-        if verify_permutation_selector(s, k, "exact").ok:
-            assert verify_strong(s, k, "exact").ok
+        if verify(s, k, "permutation", size_mode="exact").ok:
+            assert verify(s, k, "strong", size_mode="exact").ok
 
 
 def test_iter_subsets_order_and_sizes():
@@ -385,14 +404,14 @@ ORDERED_PINS = [
 @pytest.mark.parametrize("seed,mode,perm,kq_perm", ORDERED_PINS)
 def test_ordered_verifiers_do_not_call_each_other(monkeypatch, seed, mode, perm, kq_perm):
     # A per-call tracer wraps every public verifier: a nested call would count twice.
-    s = random_selector(3, 6, 24, seed)
+    s, budget = random_selector(3, 6, 24, seed), selectors.DEFAULT_BUDGET
     with monkeypatch.context() as mp:
         mp.setattr(selectors, "verify_kq_permutation_selector", _refuse)
-        assert verify_permutation_selector(s, 3, mode) == perm
+        assert selectors.verify_permutation_selector(s, 3, mode, budget) == perm
         assert verify(s, 3, "permutation", size_mode=mode) == perm
     with monkeypatch.context() as mp:
         mp.setattr(selectors, "verify_permutation_selector", _refuse)
-        assert verify_kq_permutation_selector(s, 3, 2, mode) == kq_perm
+        assert selectors.verify_kq_permutation_selector(s, 3, 2, mode, budget) == kq_perm
         assert verify(s, 3, "kq_permutation", 2, mode) == kq_perm
 
 
