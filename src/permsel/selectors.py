@@ -11,10 +11,17 @@ int with bit t set when set t contains the label); the isolation times of
 each x in a target set X are then x's column minus the times that hit two
 or more members of X.  Strong and kq selection count the non-empty ones.
 The permutation target is the kq_permutation target at q = k, and both run
-one path: every ordering of X is decided at once by a subset DP over X's
-critical length, and only a failing X has its orderings walked once, in
-lexicographic order, each checked by the longest increasing subsequence of
-its trace positions, so counterexamples stay the lexicographically smallest.
+one path: every ordering of X is decided at once, first by a rounds test
+(|X| rounds, each moving t to the latest first isolation after t over X)
+and, for a set it fails, exactly by a subset DP over X's critical length.
+Only a set failing both has its orderings walked once, in lexicographic
+order, each checked by the longest increasing subsequence of its trace
+positions, so counterexamples stay the lexicographically smallest.
+
+In up_to mode strong and the ordered targets skip a set smaller than k
+that lies inside a k-set walked before it, while that k-set's pass vouches
+for it (see `_in_earlier_k_set`); kq skips nothing, since its test is not
+monotone in X.
 """
 
 from __future__ import annotations
@@ -152,6 +159,29 @@ def _critical_length(iso: Sequence[int]) -> Optional[int]:
     return end[-1] + 1
 
 
+def _rounds_pass(iso: Sequence[int]) -> bool:
+    """A sufficient test for `_critical_length(iso) is not None` in |X|
+    rounds of |X| steps.
+
+    Round i moves t from the previous round's t to the latest first isolation
+    time after it over X, failing when some element has none; so every
+    element is isolated in each round's window, and any ordering can take
+    its i-th element in round i.
+    """
+    t = -1
+    for _ in iso:
+        latest = t
+        for times in iso:
+            later = times >> (t + 1)
+            if not later:
+                return False
+            first = t + (later & -later).bit_length()
+            if first > latest:
+                latest = first
+        t = latest
+    return True
+
+
 def _trace_events(x_tuple: Sequence[Label], iso: Sequence[int]) -> list[tuple[int, Label]]:
     """The (time, label) isolation events of x_tuple's isolation times, in time order."""
     events = []
@@ -222,14 +252,20 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         )
 
 
-def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
-                budget: int) -> Iterator[tuple[tuple[Label, ...], list[int]]]:
-    """Validate and charge (see `_charge`), then yield every target set X
-    in lexicographic order with the isolation times of each of its elements."""
+def _walk(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
+          budget: int) -> tuple[list[int], Iterator[tuple[Label, ...]]]:
+    """Validate and charge (see `_charge`), then return the selector's
+    columns and its target sets X in lexicographic order."""
     _charge(selector.universe_size, len(selector), k, target, q, size_mode, budget)
-    cols = _columns(selector)
-    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
-        yield x_tuple, _isolation_times(cols, x_tuple)
+    return _columns(selector), iter_subsets(selector.universe_size, k, size_mode)
+
+
+def _in_earlier_k_set(x_tuple: tuple[Label, ...], k: int) -> bool:
+    """Whether X, smaller than k, lies inside a k-set that the up_to walk
+    meets before X: X plus the smallest k - |X| labels below max(X) that X
+    lacks.  Those exist when max(X) >= k - 1, and the first of them sorts
+    the k-set's tuple before X's."""
+    return len(x_tuple) < k and x_tuple[-1] >= k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +278,16 @@ def _isolations(selector: Selector, k: int, target: str, q: Optional[int], size_
 def verify_strong(selector: Selector, k: int, size_mode: str, budget: int) -> Verdict:
     """`verify`'s body for "strong": every element of every target set is
     isolated by some set.  Returns the lexicographically smallest failing
-    (X, x)."""
-    for x_tuple, iso in _isolations(selector, k, "strong", None, size_mode, budget):
-        for x, times in zip(x_tuple, iso):
+    (X, x).
+
+    A set smaller than k inside an earlier k-set is skipped: that k-set
+    passed, and a set that meets it in {x} meets X in {x}.
+    """
+    cols, walk = _walk(selector, k, "strong", None, size_mode, budget)
+    for x_tuple in walk:
+        if _in_earlier_k_set(x_tuple, k):
+            continue
+        for x, times in zip(x_tuple, _isolation_times(cols, x_tuple)):
             if not times:
                 return Verdict(ok=False, x_set=x_tuple, element=x)
     return OK
@@ -254,14 +297,25 @@ def _verify_ordered(selector: Selector, k: int, q: int, size_mode: str, budget: 
     """Check that some q elements of every ordering of every target set are
     isolated in that order (q capped at the set's size in up_to mode).
 
-    A target set with a critical length (a subset DP, 2^|X| |X| steps)
-    isolates every ordering in full and passes for every q.  Only a failing
-    set has its orderings walked, in lexicographic order, so the verdict is
-    the smallest failing instance (X sorted, then the order).
+    A target set that passes `_rounds_pass`, or else has a critical length
+    (a subset DP, 2^|X| |X| steps), isolates every ordering in full and
+    passes for every q.  So does a set smaller than k inside an earlier
+    k-set that did (extend X's ordering by the rest of the k-set); it is
+    skipped while every k-set so far did, since a k-set that passes only
+    its ordering walk (q < k) vouches for none of its subsets.  Only a
+    failing set has its orderings walked, in lexicographic order, so the
+    verdict is the smallest failing instance (X sorted, then the order).
     """
-    for x_tuple, iso in _isolations(selector, k, "kq_permutation", q, size_mode, budget):
-        if _critical_length(iso) is not None:
+    cols, walk = _walk(selector, k, "kq_permutation", q, size_mode, budget)
+    k_sets_full = True  # every k-set so far isolated all its orderings
+    for x_tuple in walk:
+        if k_sets_full and _in_earlier_k_set(x_tuple, k):
             continue
+        iso = _isolation_times(cols, x_tuple)
+        if _rounds_pass(iso) or _critical_length(iso) is not None:
+            continue
+        if len(x_tuple) == k:
+            k_sets_full = False
         need = min(q, len(x_tuple))
         labels = [x for _, x in _trace_events(x_tuple, iso)]
         for order in permutations(x_tuple):
@@ -279,7 +333,9 @@ def verify_permutation_selector(selector: Selector, k: int, size_mode: str, budg
 def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str, budget: int) -> Verdict:
     """`verify`'s body for "kq": at least q distinct elements of every target
     set are isolated (all of a set smaller than q, possible in up_to mode)."""
-    for x_tuple, iso in _isolations(selector, k, "kq", q, size_mode, budget):
+    cols, walk = _walk(selector, k, "kq", q, size_mode, budget)
+    for x_tuple in walk:
+        iso = _isolation_times(cols, x_tuple)
         if len(iso) - iso.count(0) < min(q, len(x_tuple)):
             return Verdict(ok=False, x_set=x_tuple)
     return OK

@@ -73,11 +73,16 @@ def test_smallest_c_rejects_bad_beta():
         smallest_c(1.0)
 
 
+def test_smallest_c_near_zero_beta():
+    assert smallest_c(1e-12) == 0.25
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: random_selector(0, 4, 3, seed=0), "k must be at least 1"),
     (lambda: random_selector(2, 4, -1, seed=0), "m must be non-negative"),
     (lambda: smallest_c(0.999), "no c on the grid satisfies c*beta^c < 1/16 for beta=0.999"),
-], ids=["k-zero", "m-negative", "no-c-on-grid"])
+    (lambda: smallest_c(0.0), "beta must be in (0, 1)"),
+], ids=["k-zero", "m-negative", "no-c-on-grid", "beta-zero"])
 def test_build_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

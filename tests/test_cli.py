@@ -493,12 +493,15 @@ SIMULATE_REFUSALS = [
      "error: kappa must be in [1, n], got kappa=9, n=8\n"),
     (("0", "0.5", "1"), WITH_AND_WITHOUT_KAPPA, "error: " + NO_NODE),
     ("0\n", WITH_AND_WITHOUT_KAPPA, "error: cannot read network: " + NO_NODE),
+    ("2\n2: 0\n1: 0\n", WITH_AND_WITHOUT_KAPPA,
+     "error: cannot read network: node label 2 outside [0, 2)\n"),
 ]
 
 
 @pytest.mark.parametrize("network,kappas,err", SIMULATE_REFUSALS,
                          ids=["weak-path", "weak-sink-source", "weak-star", "weak-two-rings",
-                              "kappa-zero", "kappa-above-n", "random-n-zero", "file-n-zero"])
+                              "kappa-zero", "kappa-above-n", "random-n-zero", "file-n-zero",
+                              "file-label-n"])
 def test_simulate_refusal_does_not_depend_on_the_flags(tmp_path, capsys, monkeypatch,
                                                        network, kappas, err):
     # One line and exit 2 under --auto and --selector, with or without

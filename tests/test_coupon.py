@@ -392,6 +392,10 @@ def test_union_bound_certifies_derived_c():
             assert union_bound_value(k, n, p.c).existence_certified
 
 
+def test_union_bound_accepts_the_smallest_universe():
+    assert union_bound_value(2, 2, 30.0).log2_value == 12.403674787883427
+
+
 def test_union_bound_matches_hand_log_computation():
     # Independent log-space evaluation of N^(4k) * (c*beta^c)^(k*log2 N).
     from permsel.build import tail_beta

@@ -33,6 +33,7 @@ from permsel.selectors import (
     _columns,
     _critical_length,
     _isolation_times,
+    _rounds_pass,
     iter_subsets,
     lis_length,
     verify,
@@ -299,3 +300,28 @@ def test_critical_length_is_shortest_passing_prefix(seed):
                    if all(isolated_in_order(sets[:t], x_tuple, order)
                           for order in permutations(x_tuple))]
         assert _critical_length(_isolation_times(cols, x_tuple)) == min(passing, default=None)
+
+
+def test_rounds_pass_implies_a_critical_length():
+    # The rounds test is sufficient, not necessary: the grid must also hold
+    # sets it fails that the DP passes, and sets both fail.
+    outcomes = set()
+    for seed in SEEDS:
+        selector, k, _ = random_case(seed)
+        cols = _columns(selector)
+        for x_tuple in iter_subsets(selector.universe_size, k, "up_to"):
+            iso = _isolation_times(cols, x_tuple)
+            outcome = (_rounds_pass(iso), _critical_length(iso) is not None)
+            assert outcome != (True, False), (selector, x_tuple)
+            outcomes.add(outcome)
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rounds_pass_implies_a_critical_length_random(size, data):
+    # Each time isolates at most one element of X, or none (-1).
+    owners = data.draw(st.lists(st.integers(-1, size - 1), max_size=40))
+    iso = [sum(1 << t for t, owner in enumerate(owners) if owner == i) for i in range(size)]
+    if _rounds_pass(iso):
+        assert _critical_length(iso) is not None

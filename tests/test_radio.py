@@ -313,6 +313,7 @@ def altered_record_audit():
     (lambda: network_from_text(""), "empty network file"),
     (lambda: network_from_text("\n \n"), "empty network file"),
     (lambda: network_from_text("2\n5: 0\n1: 0\n"), "node label 5 outside [0, 2)"),
+    (lambda: network_from_text("2\n2: 0\n1: 0\n"), "node label 2 outside [0, 2)"),
     (lambda: random_strongly_connected(0, 0.5, 1), "a network needs at least 1 node, got 0"),
     (lambda: random_strongly_connected(5, 1.5, 1), "extra_edge_prob must be in [0, 1]"),
     (lambda: random_strongly_connected(5, -0.1, 1), "extra_edge_prob must be in [0, 1]"),
@@ -324,7 +325,7 @@ def altered_record_audit():
      "kappa must be in [1, n], got kappa=3, n=2"),
     (lambda: choose_kappa(5, 0), "broadcast_rounds must be at least 1"),
     (altered_record_audit, "round 0: trace inconsistent with the collision rule"),
-], ids=["blank-file", "blank-lines", "label-out-of-range", "n-zero", "p-above-1", "p-below-0",
+], ids=["blank-file", "blank-lines", "label-out-of-range", "label-n", "n-zero", "p-above-1", "p-below-0",
         "source-n", "mu-zero", "kappa-zero", "kappa-above-n", "no-broadcast-rounds",
         "altered-record"])
 def test_radio_refusals(call, message):

@@ -58,6 +58,10 @@ def test_selector_refusals(n, sets, message):
         Selector(n, sets)
 
 
+def test_empty_selector_over_the_empty_universe():
+    assert len(Selector(0, ())) == 0
+
+
 # ---------------------------------------------------------------------------
 # isolation primitives
 # ---------------------------------------------------------------------------
@@ -190,6 +194,14 @@ def test_kq_permutation_lis_examples():
     assert verify(s, 2, "kq_permutation", 1, "exact").ok
     v = verify(s, 2, "kq_permutation", 2, "exact")
     assert not v.ok and v.x_set == (0, 1) and v.order == (0, 1)
+
+
+def test_up_to_skip_waits_for_k_sets_that_pass_in_full():
+    # (0,1) isolates only 0, so it passes q=1 by its ordering walk but not in
+    # full, and vouches nothing for (1,), which fails; skipping (1,) inside
+    # the k-set (1,2) would report (1,2) instead.
+    v = verify(Selector(3, (frozenset({0}),)), 2, "kq_permutation", 1, "up_to")
+    assert v == Verdict(False, (1,), order=(1,))
 
 
 def test_kq_permutation_rejects_bad_q():
