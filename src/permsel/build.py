@@ -10,6 +10,7 @@ comes out.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,25 +86,238 @@ def substream_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# numpy's SeedSequence (pool size 4) and PCG64 constants.  A set's stream is
+# SeedSequence(seed, spawn_key=(t,)) -> PCG64 -> Generator.random(N) < 1/k;
+# `_draw_sets` computes the same bits for many t at once.
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# A chunk of the draw holds _DRAW_CHUNK // universe_size sets (at least one),
+# so its (set, label) grid stays about this size.
+_DRAW_CHUNK = 1 << 13
+
+_U32 = np.uint32
+_U64 = np.uint64
+_LO32 = _U64(_MASK32)
+_SHIFT32 = _U64(32)
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the mixed value and the next hash constant."""
+    next_const = hash_const * _SS_MULT_A & _MASK32
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _gen_constants() -> tuple[np.ndarray, ...]:
+    """generate_state's eight hash constants, before and after each step.
+
+    Word i of the output hashes pool word i % 4, so the constants come as
+    two rows of four, one per pass over the pool.
+    """
+    before, after, h = [], [], _SS_INIT_B
+    for _ in range(8):
+        before.append(h)
+        h = h * _SS_MULT_B & _MASK32
+        after.append(h)
+    return _frozen(np.array(before, dtype=_U32).reshape(2, 4),
+                   np.array(after, dtype=_U32).reshape(2, 4))
+
+
+_GEN_BEFORE, _GEN_AFTER = _gen_constants()
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
+    """What SeedSequence(seed, spawn_key=(t,)) computes before it reads t.
+
+    The entropy is the seed's 32-bit words, zero-padded to the pool size,
+    followed by t.  Every step before t's word depends on the seed alone.
+    Returns the pool times _SS_MIX_L, and the hash constants before and
+    after each of the four hashmix steps that t goes through.
+    """
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words))
+    h, pool = _SS_INIT_A, []
+    for w in words[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[4:]:
+        for dst in range(4):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    before, after = [], []
+    for _ in range(4):
+        before.append(h)
+        h = h * _SS_MULT_A & _MASK32
+        after.append(h)
+    return (np.array([_SS_MIX_L * p & _MASK32 for p in pool], dtype=_U32),
+            np.array(before, dtype=_U32), np.array(after, dtype=_U32))
+
+
+def _mulhi64(a0, a1, b0, b1):
+    """High 64 bits of a*b, from the 32-bit halves a = a1:a0 and b = b1:b0."""
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
+    return p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _halves(*xs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 64-bit halves of 128-bit integers, shaped (len(xs), 1, 1)."""
+    return (np.array([[[x & _MASK64]] for x in xs], dtype=_U64),
+            np.array([[[x >> 64]] for x in xs], dtype=_U64))
+
+
+def _affine_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    return _frozen(lo, hi, lo & _LO32, lo >> _SHIFT32)
+
+
+# `_pcg_affine`'s table, grown on demand: the process keeps one, as long as
+# the largest universe drawn so far.  It starts at j = 1: P_1 = M^2 and
+# Q_1 = M^2 + M + 1.
+_AFFINE = _affine_table(*_halves(_PCG_MULT**2 & _MASK128,
+                                 (1 + _PCG_MULT + _PCG_MULT**2) & _MASK128))
+
+
+def _pcg_affine(universe_size: int) -> tuple[np.ndarray, ...]:
+    """The state behind draw j = 1..N of a PCG64 seeded with (s, initseq).
+
+    Seeding sets state = (inc + s) * M + inc with inc = 2 initseq + 1, and
+    each draw steps state = state * M + inc before it outputs, so draw j
+    reads P_j s + Q_j inc with P_j = M^(j+1) and Q_j = M^(j+1) + ... + M + 1
+    (mod 2^128).  Returns, over j on the last axis and (P, Q) on the first,
+    the low and high 64-bit halves and the low half's two 32-bit halves.
+
+    A table of L draws doubles: P_(j+L) = M^L P_j and Q_(j+L) = M^L Q_j + S,
+    where S = M^(L-1) + ... + M + 1 = Q_L - P_L - M^L.
+    """
+    global _AFFINE
+    lo, hi, lo0, lo1 = _AFFINE
+    while lo.shape[-1] < universe_size:
+        size = lo.shape[-1]
+        grow = min(size, universe_size - size)
+        scale = pow(_PCG_MULT, size, 1 << 128)
+        p_last, q_last = (int(top) << 64 | int(low) for top, low in zip(hi[:, 0, -1], lo[:, 0, -1]))
+        c_lo, c_hi = _halves(scale)
+        s_lo, s_hi = _halves(0, (q_last - p_last - scale) & _MASK128)
+        a_lo, a_hi = lo[..., :grow], hi[..., :grow]
+        b_lo = a_lo * c_lo + s_lo
+        b_hi = (a_hi * c_lo + a_lo * c_hi + s_hi + (b_lo < s_lo)
+                + _mulhi64(lo0[..., :grow], lo1[..., :grow], c_lo & _LO32, c_lo >> _SHIFT32))
+        _AFFINE = _affine_table(np.concatenate((lo, b_lo), axis=-1),
+                                np.concatenate((hi, b_hi), axis=-1))
+        lo, hi, lo0, lo1 = _AFFINE
+    return tuple(a[..., :universe_size] for a in _AFFINE)
+
+
+def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[frozenset]:
+    """Sets t0..t1-1 of random_selector(k, universe_size, m, seed), t1 <= 2^32.
+
+    Each set t is the labels x with Generator(PCG64(SeedSequence(seed,
+    spawn_key=(t,)))).random(universe_size)[x] < 1/k.  The SeedSequence
+    steps that read t run as uint32 array operations over t; the PCG64 states
+    are the affine grid of `_pcg_affine`, in 64-bit halves; a draw is
+    XSL-RR's output, and (output >> 11) * 2^-53 < 1/k is the integer test
+    (output >> 11) < ceil(2^53 * (1/k)).
+    """
+    n = universe_size
+    threshold = _U64(math.ceil(1.0 / k * 2.0**53))
+    pool, hash_before, hash_after = _seed_pool(seed)
+    y_lo, y_hi, y_lo0, y_lo1 = _pcg_affine(n)
+    rows = max(1, _DRAW_CHUNK // max(n, 1))
+    sets: list[frozenset] = []
+    for a in range(t0, t1, rows):
+        b = min(t1, a + rows)
+        # SeedSequence: t's word mixed into each pool word, then the eight
+        # words of generate_state(4, uint64), paired low word first.
+        v = (np.arange(a, b, dtype=_U32)[:, None] ^ hash_before) * hash_after
+        v ^= v >> _U32(16)
+        v = pool - _U32(_SS_MIX_R) * v
+        v ^= v >> _U32(16)
+        w = (v[:, None, :] ^ _GEN_BEFORE) * _GEN_AFTER
+        w ^= w >> _U32(16)
+        w = w.reshape(b - a, 8).astype(_U64)
+        words = w[:, 0::2] | (w[:, 1::2] << _SHIFT32)
+        # PCG64 seeds with s = words[0]:words[1] (high:low) and initseq =
+        # words[2]:words[3], whose inc = 2 initseq + 1 overwrites it.
+        carry = words[:, 3] >> _U64(63)
+        words[:, 2:] <<= _U64(1)
+        words[:, 2] |= carry
+        words[:, 3] |= _U64(1)
+        # (s, inc) on the first axis, rows on the second.
+        x_hi, x_lo = words.T[0::2, :, None], words.T[1::2, :, None]
+        lo = x_lo * y_lo
+        state_lo = lo[0] + lo[1]
+        hi = x_hi * y_lo
+        hi += x_lo * y_hi
+        hi += _mulhi64(x_lo & _LO32, x_lo >> _SHIFT32, y_lo0, y_lo1)
+        state_hi = hi[0] + hi[1] + (state_lo < lo[0])
+        # XSL-RR: rotate hi ^ lo right by the state's top six bits.
+        rot = state_hi >> _U64(58)
+        out = state_hi ^ state_lo
+        out = (out >> rot) | ((out << _U64(1)) << (rot ^ _U64(63)))
+        hits = np.flatnonzero((out >> _U64(11)) < threshold)
+        labels = (hits % n).tolist()
+        # Set a + r's hits end before flat index (r + 1) * n.
+        start = 0
+        for end in np.searchsorted(hits, np.arange(1, b - a + 1) * n).tolist():
+            sets.append(frozenset(labels[start:end]))
+            start = end
+    return sets
+
+
 def random_selector(k: int, universe_size: int, m: int, seed: int,
                     prefix: Optional[Selector] = None) -> Selector:
     """m random sets over [0, universe_size), each label included independently
     with probability 1/k.
 
-    Set index t draws from its own PCG64 sub-stream (spawn key (t,)), so the
-    length-m selector for a seed is a prefix of the length-(m+1) one.  prefix,
-    an earlier draw of the same (k, universe_size, seed), lends its first
-    min(m, len(prefix)) sets; only the sets after them are drawn.
+    Set index t draws from its own PCG64 sub-stream (spawn key (t,)): it is
+    the labels x with Generator(PCG64(SeedSequence(seed, spawn_key=(t,))))
+    .random(universe_size)[x] < 1/k.  So the length-m selector for a seed is
+    a prefix of the length-(m+1) one.  prefix, an earlier draw of the same
+    (k, universe_size, seed), lends its first min(m, len(prefix)) sets; only
+    the sets after them are drawn, all in one vectorised pass.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if m < 0:
         raise ValueError("m must be non-negative")
-    p = 1.0 / k
+    if m > 2**32:
+        raise ValueError("m must be at most 2**32")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     sets = list(prefix.sets[:m]) if prefix is not None else []
-    for t in range(len(sets), m):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))))
-        sets.append(frozenset(np.flatnonzero(rng.random(universe_size) < p).tolist()))
+    if len(sets) < m:
+        sets += _draw_sets(k, universe_size, seed, len(sets), m)
     return Selector(universe_size, tuple(sets))
 
 

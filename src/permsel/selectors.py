@@ -69,7 +69,13 @@ class Selector:
         if self.universe_size < 0:
             raise ValueError("universe_size must be non-negative")
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+        # One subset test clears a set inside [0, N); the universe is cut to
+        # the number of labels, so it never costs more to build than the
+        # sets.  Any other set walks its labels, naming the first bad one.
+        universe = frozenset(range(min(self.universe_size, sum(map(len, self.sets)))))
         for t, s in enumerate(self.sets):
+            if s <= universe:
+                continue
             for x in s:
                 if not 0 <= x < self.universe_size:
                     raise ValueError(f"set {t} contains label {x} outside [0, {self.universe_size})")

@@ -3,7 +3,8 @@
 They are slow or exhaustive on purpose, and nothing in `permsel` calls
 them: the enumeration oracle of the coupon probabilities, the simulated
 isolation-count tail, the isolation test of one set written from the
-definition, the active-path DFS of the quasi-gossip analysis, an
+definition, the per-set draw loop that `random_selector`'s one-pass kernel
+reproduces bit for bit, the active-path DFS of the quasi-gossip analysis, an
 independent copy of the collision rule that audits a recorded run, and
 the earlier resolve-and-format body of `radio.step` that a set's stored
 outcome is checked against.
@@ -90,6 +91,21 @@ def isolates(s: Iterable[Label], x_set: Iterable[Label]) -> Optional[Label]:
     if len(inter) == 1:
         return next(iter(inter))
     return None
+
+
+# ---------------------------------------------------------------------------
+# build: one numpy generator per set
+# ---------------------------------------------------------------------------
+
+def draw_per_set(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[frozenset]:
+    """Sets t0..t1-1 of random_selector(k, universe_size, m, seed), each from
+    its own Generator(PCG64(SeedSequence(seed, spawn_key=(t,))))."""
+    p = 1.0 / k
+    sets = []
+    for t in range(t0, t1):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))))
+        sets.append(frozenset(np.flatnonzero(rng.random(universe_size) < p).tolist()))
+    return sets
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 from fractions import Fraction
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import permsel
 from permsel import build, coupon, radio
 from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected
@@ -110,6 +114,33 @@ def test_verify_budget_refusal(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMSEL_BUDGET", "1000")
     code, _, err = run(capsys, "verify", str(f), "--target", "permutation", "-k", "8")
     assert code == 2 and "budget" in err
+
+
+def test_verify_huge_universe_is_refused_by_the_budget(tmp_path):
+    # Building a selector costs its labels, not N: a child capped at 512 MiB
+    # of address space builds a one-set selector over N = 3e9 and loads an
+    # N = 3e9 file, whose verification (C(N, 2) pairs, two orders each) the
+    # budget refuses with exit 2.
+    # Anything of size N would end the child with a MemoryError instead.
+    f = tmp_path / "huge.sel"
+    f.write_text("3000000000 2 1\n0 7\n", encoding="utf-8")
+    code = ("import sys\n"
+            "from permsel.cli import main\n"
+            "from permsel.selectors import Selector\n"
+            "assert len(Selector(3 * 10**9, ({0, 7},))) == 1\n"
+            f"sys.exit(main(['verify', {str(f)!r}]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PERMSEL_BUDGET"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(permsel.__file__))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60, preexec_fn=cap_address_space)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == ("error: verification needs ~8999999997000000000 primitive "
+                            "isolation checks, budget is 100000000\n")
 
 
 @pytest.mark.parametrize("raw,err", [

@@ -1,0 +1,91 @@
+"""random_selector's one-pass draw against the per-set numpy loop.
+
+`build._draw_sets` recomputes numpy's SeedSequence and PCG64 for many sets
+at once; `oracles.draw_per_set` builds one generator per set, as
+random_selector did before.  Every set must come out the same: over seeds
+of one to five 32-bit words (both sides of each word boundary), every
+universe size up to 40 plus 250 and 1000, every k up to 12, ranges that
+start past 0 or end at the last one-word spawn key, chunks of one row, a
+table of PCG64 constants grown in steps, and draws that borrow a prefix.
+"""
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from oracles import draw_per_set
+from permsel import build
+from permsel.build import random_selector
+from permsel.selectors import Selector
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890]
+UNIVERSES = list(range(41)) + [250, 1000]
+
+
+def per_set(k, n, m, seed):
+    return Selector(n, tuple(draw_per_set(k, n, seed, 0, m)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_matches_per_set_oracle(seed):
+    for n in UNIVERSES:
+        m = 5 if n <= 40 else 2
+        for k in range(1, 13):
+            assert random_selector(k, n, m, seed) == per_set(k, n, m, seed), (n, k)
+
+
+@pytest.mark.parametrize("t0,t1", [(0, 0), (0, 1), (5, 5), (3, 17), (1000, 1003),
+                                   (2**32 - 4, 2**32)])
+@pytest.mark.parametrize("n,k", [(0, 2), (1, 1), (12, 4), (250, 3)])
+def test_draw_ranges_match_per_set_oracle(t0, t1, n, k):
+    for seed in SEEDS:
+        assert build._draw_sets(k, n, seed, t0, t1) == draw_per_set(k, n, seed, t0, t1)
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 100])
+@pytest.mark.parametrize("n", [0, 7, 12, 40])
+def test_draw_chunks_match_per_set_oracle(monkeypatch, chunk, n):
+    # One row per chunk (chunk <= n), a few rows, and a last chunk cut short.
+    monkeypatch.setattr(build, "_DRAW_CHUNK", chunk)
+    assert build._draw_sets(3, n, 77, 2, 31) == draw_per_set(3, n, 77, 2, 31)
+
+
+@pytest.mark.parametrize("sizes", [(1000,), (1, 2, 3, 7, 12, 40, 41, 250, 1000)])
+def test_affine_table_grows_to_match_per_set_oracle(monkeypatch, sizes):
+    # From a table of one draw: one jump to N = 1000, and growth in uneven steps.
+    monkeypatch.setattr(build, "_AFFINE", tuple(a[..., :1] for a in build._AFFINE))
+    for n in sizes:
+        assert build._draw_sets(5, n, 3, 0, 3) == draw_per_set(5, n, 3, 0, 3), n
+    assert build._AFFINE[0].shape == (2, 1, max(sizes))
+
+
+def test_draw_spanning_default_chunks_matches_per_set_oracle():
+    # 682 rows of 12 labels per chunk: 1500 sets end inside the third chunk.
+    assert random_selector(4, 12, 1500, 5) == per_set(4, 12, 1500, 5)
+
+
+@pytest.mark.parametrize("m2", [0, 1, 5, 9])
+def test_draw_after_a_prefix_matches_per_set_oracle(m2):
+    # The lent sets come from the oracle; the kernel draws only the rest.
+    prefix = per_set(3, 10, m2, 9)
+    for m in (0, 1, 5, 9, 12):
+        assert random_selector(3, 10, m, 9, prefix=prefix) == per_set(3, 10, m, 9)
+
+
+def test_a_lent_draw_runs_no_kernel(monkeypatch):
+    prefix = random_selector(3, 10, 6, 9)
+
+    def no_draw(*args):
+        raise AssertionError("_draw_sets called")
+
+    monkeypatch.setattr(build, "_draw_sets", no_draw)
+    assert random_selector(3, 10, 6, 9, prefix=prefix) == prefix
+    assert len(random_selector(3, 10, 0, 9)) == 0
+
+
+@given(seed=st.integers(0, 2**160), n=st.integers(0, 64),
+       k=st.one_of(st.integers(1, 16), st.integers(17, 2**70)),
+       t0=st.integers(0, 2**32 - 1), count=st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_draw_matches_per_set_oracle_random(seed, n, k, t0, count):
+    t1 = min(t0 + count, 2**32)
+    assert build._draw_sets(k, n, seed, t0, t1) == draw_per_set(k, n, seed, t0, t1)

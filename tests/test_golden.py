@@ -54,6 +54,18 @@ def test_golden_gen_selector_file(tmp_path, capsys):
     assert sha256(out_file) == "414e597a9dff11ddfeeefeb272470a1bdba4253d6c622e02369160312c8ab3e1"
 
 
+def test_golden_gen_default_seed_and_attempts(tmp_path, capsys):
+    out_file = tmp_path / "default.sel"
+    code, out, _ = run(capsys, "gen", "-k", 3, "-N", 8, "-m", 60, "-o", out_file)
+    assert code == 0
+    assert out == (
+        "gamma=0.44444444444444453 delta=0.4375000000000001 alpha=0.9583571886519542 "
+        "beta=0.9583571886519542 c=188.5 m=5090\n"
+        f"attempts=1 m=60 out={out_file}\n"
+    )
+    assert sha256(out_file) == "040d4fe2315ad05dbb2a882a9aed54e72fe74e5e7fb1ee538444634b3a4b2028"
+
+
 @pytest.mark.parametrize("target,mode", sorted(VERIFY_GOLDEN))
 def test_golden_verify_counterexamples(tmp_path, capsys, target, mode):
     sel = tmp_path / "short.sel"
@@ -66,6 +78,11 @@ def test_golden_minsize(capsys):
     code, out, _ = run(capsys, "minsize", "-k", 2, "-N", 5, "--mode", "up_to",
                        "--trials", 3, "--seed", 4)
     assert (code, out) == (0, "minimal_m=16\n")
+
+
+def test_golden_minsize_default_seed_and_trials(capsys):
+    code, out, _ = run(capsys, "minsize", "-k", 2, "-N", 6)
+    assert (code, out) == (0, "minimal_m=13\n")
 
 
 MINSIZE_ARGS = ("minsize", "-k", 3, "-N", 6, "-q", 2, "--trials", 3, "--seed", 5)
@@ -112,6 +129,22 @@ def test_golden_simulate_auto_trace(tmp_path, capsys):
     assert out == ("kappa=4\nrounds_total=230 rounds_selector=0 rounds_disperse=210 "
                    "rounds_rr=20\naudit=pass\n")
     assert sha256(trace) == "392ef6e5e57a9702cc746476e170cd75eac0ece40bc15f2d2cceeaa6ea98fa06"
+
+
+def test_golden_simulate_auto_selector_phase(tmp_path, capsys):
+    # A reversed cycle (v -> v-1) makes --auto's verified selector carry the
+    # task: two iterations of its 90 sets, and no Disperse round.
+    n = 8
+    network = tmp_path / "reversed.net"
+    network.write_text(f"{n}\n" + "".join(f"{v}: {(v - 1) % n}\n" for v in range(n)),
+                       encoding="utf-8")
+    trace = tmp_path / "reversed.trace"
+    code, out, _ = run(capsys, "simulate", "--network", network, "--kappa", 4, "--auto",
+                       "--seed", 1, "-m", 90, "--trace", trace)
+    assert code == 0
+    assert out == ("kappa=4\nrounds_total=196 rounds_selector=180 rounds_disperse=0 "
+                   "rounds_rr=16\naudit=pass\n")
+    assert sha256(trace) == "65cffeae7bb8a4816ce1a7f01d1237aecf6ab4b3490e0a964e4c50cce306cb2b"
 
 
 def test_golden_simulate_selector_trace(tmp_path, capsys):

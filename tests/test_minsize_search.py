@@ -13,7 +13,6 @@ from dataclasses import replace
 import itertools
 
 from hypothesis import given, settings, strategies as st
-import numpy as np
 import pytest
 
 from permsel import build
@@ -200,16 +199,16 @@ def test_negative_budget_is_refused_before_any_draw(monkeypatch, call):
 
 
 def test_search_draws_each_set_once(monkeypatch):
-    # Every set of every trial is one (entropy, spawn_key) sub-stream; the
-    # search builds each at most once across all the lengths it probes.
+    # Every set of every trial is one (seed, t) sub-stream; the search draws
+    # each at most once across all the lengths it probes.
     built = []
-    real = np.random.SeedSequence
+    real = build._draw_sets
 
-    def seed_sequence(entropy=None, *, spawn_key=()):
-        built.append((entropy, tuple(spawn_key)))
-        return real(entropy, spawn_key=spawn_key)
+    def draw_sets(k, n, seed, t0, t1):
+        built.extend((seed, t) for t in range(t0, t1))
+        return real(k, n, seed, t0, t1)
 
-    monkeypatch.setattr(build.np.random, "SeedSequence", seed_sequence)
+    monkeypatch.setattr(build, "_draw_sets", draw_sets)
     config = BuildConfig(seed=5, target="permutation", size_mode="up_to", max_attempts=3)
     assert minimal_m_search(3, 6, config) == 44
     assert len(built) > 44 and len(set(built)) == len(built)

@@ -521,6 +521,20 @@ def test_quasi_gossip_fails_with_useless_selector():
         quasi_gossip(g, SimState(g), 7, junk)
 
 
+@pytest.mark.parametrize("kappa,iterations", [(7, 4), (8, 4), (9, 5), (16, 5)])
+def test_quasi_gossip_runs_every_iteration_before_it_fails(kappa, iterations):
+    # On a reversed cycle (v -> v-1) only the selector phase can finish the
+    # task at these kappa; empty sets move nothing, so all ceil(log2 kappa)
+    # + 1 iterations run their m rounds before the postcondition fails.
+    n, m = 16, 5
+    g = net(*({(v - 1) % n} for v in range(n)))
+    st = SimState(g)
+    with pytest.raises(QuasiGossipFailedError, match="^quasi-gossip postcondition does not hold "
+                                                     "after the final iteration$"):
+        quasi_gossip(g, st, kappa, lambda k, n_: Selector(n_, (frozenset(),) * m))
+    assert st.phase_rounds["selector"] == iterations * m
+
+
 def test_gossip_k2():
     g = net({1}, {0})
     state = gossip(g, 2, cached_provider())

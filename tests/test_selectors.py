@@ -52,10 +52,17 @@ def in_order(selector, order):
     (-1, (), "universe_size must be non-negative"),
     (3, ({0}, {3}), "set 1 contains label 3 outside [0, 3)"),
     (3, ({-1},), "set 0 contains label -1 outside [0, 3)"),
-], ids=["negative-universe", "label-above", "label-below"])
+    (3, ({0, 1}, {2, 5, 1}), "set 1 contains label 5 outside [0, 3)"),
+], ids=["negative-universe", "label-above", "label-below", "one-label-of-three"])
 def test_selector_refusals(n, sets, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Selector(n, sets)
+
+
+def test_labels_past_the_label_count_are_in_range():
+    # Two labels over N = 100: the range check's universe is cut to [0, 2),
+    # and labels 50 and 99 are still inside [0, 100).
+    assert Selector(100, ({0, 50}, {99})).sets == (frozenset({0, 50}), frozenset({99}))
 
 
 def test_empty_selector_over_the_empty_universe():
