@@ -87,8 +87,10 @@ def substream_seed(seed: int, *key: int) -> int:
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 constants.  A set's stream is
-# SeedSequence(seed, spawn_key=(t,)) -> PCG64 -> Generator.random(N) < 1/k;
-# `_draw_sets` computes the same bits for many t at once.
+# SeedSequence(seed, spawn_key=(t,)) -> PCG64 -> Generator.random(N) < 1/k.
+# numpy computes the steps that depend on the seed alone, as the pool of
+# SeedSequence(seed); `_draw_sets` recomputes the rest for many t at once: the
+# four hash steps that mix t's word into the pool and generate_state's eight.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -109,78 +111,37 @@ _LO32 = _U64(_MASK32)
 _SHIFT32 = _U64(32)
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the mixed value and the next hash constant."""
-    next_const = hash_const * _SS_MULT_A & _MASK32
-    value = (value ^ hash_const) * next_const & _MASK32
-    return value ^ (value >> 16), next_const
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    r = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _gen_constants() -> tuple[np.ndarray, ...]:
-    """generate_state's eight hash constants, before and after each step.
-
-    Word i of the output hashes pool word i % 4, so the constants come as
-    two rows of four, one per pass over the pool.
-    """
-    before, after, h = [], [], _SS_INIT_B
-    for _ in range(8):
-        before.append(h)
-        h = h * _SS_MULT_B & _MASK32
-        after.append(h)
-    return _frozen(np.array(before, dtype=_U32).reshape(2, 4),
-                   np.array(after, dtype=_U32).reshape(2, 4))
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants first..first+count-1: step i hashes with
+    init * mult^i mod 2^32 and leaves step i+1's."""
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(first, first + count)],
+                    dtype=_U32)
 
 
-_GEN_BEFORE, _GEN_AFTER = _gen_constants()
+# generate_state's hash constants before and after its eight steps.  Step i
+# hashes pool word i % 4, so they come as two rows of four, one per pass.
+_GEN_BEFORE, _GEN_AFTER = _frozen(*(_hash_constants(_SS_INIT_B, _SS_MULT_B, first, 8).reshape(2, 4)
+                                    for first in (0, 1)))
 
 
 def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
     """What SeedSequence(seed, spawn_key=(t,)) computes before it reads t.
 
     The entropy is the seed's 32-bit words, zero-padded to the pool size,
-    followed by t.  Every step before t's word depends on the seed alone.
-    Returns the pool times _SS_MIX_L, and the hash constants before and
-    after each of the four hashmix steps that t goes through.
+    followed by t.  SeedSequence(seed) hashes a missing word as 0, so its
+    pool is the state before t, reached after 16 hash steps plus four per
+    word past the fourth.  Returns the pool times _SS_MIX_L, and the hash
+    constants before and after each of the four steps that t goes through.
     """
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (4 - len(words))
-    h, pool = _SS_INIT_A, []
-    for w in words[:4]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for w in words[4:]:
-        for dst in range(4):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
-    before, after = [], []
-    for _ in range(4):
-        before.append(h)
-        h = h * _SS_MULT_A & _MASK32
-        after.append(h)
-    return (np.array([_SS_MIX_L * p & _MASK32 for p in pool], dtype=_U32),
-            np.array(before, dtype=_U32), np.array(after, dtype=_U32))
+    first = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    hash_consts = _hash_constants(_SS_INIT_A, _SS_MULT_A, first, 5)
+    return np.random.SeedSequence(seed).pool * _U32(_SS_MIX_L), hash_consts[:4], hash_consts[1:]
 
 
 def _mulhi64(a0, a1, b0, b1):

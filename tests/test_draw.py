@@ -3,7 +3,7 @@
 `build._draw_sets` recomputes numpy's SeedSequence and PCG64 for many sets
 at once; `oracles.draw_per_set` builds one generator per set, as
 random_selector did before.  Every set must come out the same: over seeds
-of one to five 32-bit words (both sides of each word boundary), every
+of one to seven 32-bit words (both sides of several word boundaries), every
 universe size up to 40 plus 250 and 1000, every k up to 12, ranges that
 start past 0 or end at the last one-word spawn key, chunks of one row, a
 table of PCG64 constants grown in steps, and draws that borrow a prefix.
@@ -17,7 +17,9 @@ from permsel import build
 from permsel.build import random_selector
 from permsel.selectors import Selector
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890]
+# Six- and seven-word seeds pin the four hash steps per word past the fourth.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890,
+         2**160, 2**224 - 1]
 UNIVERSES = list(range(41)) + [250, 1000]
 
 

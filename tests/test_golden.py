@@ -12,7 +12,9 @@ import pytest
 
 from permsel.build import BuildConfig, build_verified
 from permsel.cli import main
+from permsel.errors import AttemptsExhaustedError
 from permsel.radio import gossip, random_strongly_connected
+from permsel.selectors import selector_to_text
 
 
 def run(capsys, *argv):
@@ -64,6 +66,31 @@ def test_golden_gen_default_seed_and_attempts(tmp_path, capsys):
         f"attempts=1 m=60 out={out_file}\n"
     )
     assert sha256(out_file) == "040d4fe2315ad05dbb2a882a9aed54e72fe74e5e7fb1ee538444634b3a4b2028"
+    # One set never isolates a permutation of 3 labels, so all 50 attempts fail.
+    code, out, _ = run(capsys, "gen", "-k", 3, "-N", 8, "-m", 1, "-o", out_file)
+    assert code == 1
+    assert out == (
+        "gamma=0.44444444444444453 delta=0.4375000000000001 alpha=0.9583571886519542 "
+        "beta=0.9583571886519542 c=188.5 m=5090\n"
+        "FAIL no verified selector in 50 attempts (k=3, N=8, m=1, target=permutation)\n"
+    )
+
+
+def test_golden_build_config_defaults():
+    # BuildConfig's own seed and max_attempts, not the CLI's: seed 0 passes
+    # on attempt 1 with the `gen` default pin's file (seed 1 needs two), and
+    # a one-set selector runs out after 50 attempts.
+    selector, attempts = build_verified(3, 8, BuildConfig(m_override=60))
+    assert attempts == 1
+    assert (hashlib.sha256(selector_to_text(selector, 3).encode()).hexdigest()
+            == "040d4fe2315ad05dbb2a882a9aed54e72fe74e5e7fb1ee538444634b3a4b2028")
+    selector, attempts = build_verified(3, 8, BuildConfig(m_override=60, seed=1))
+    assert attempts == 2
+    assert (hashlib.sha256(selector_to_text(selector, 3).encode()).hexdigest()
+            == "dcc1cb2b154184b1bec80f0c63b09960f57bff6402a89870ce6fcd7f579be930")
+    with pytest.raises(AttemptsExhaustedError, match=r"^no verified selector in 50 attempts "
+                       r"\(k=3, N=8, m=1, target=permutation\)$"):
+        build_verified(3, 8, BuildConfig(m_override=1))
 
 
 @pytest.mark.parametrize("target,mode", sorted(VERIFY_GOLDEN))
@@ -133,18 +160,23 @@ def test_golden_simulate_auto_trace(tmp_path, capsys):
 
 def test_golden_simulate_auto_selector_phase(tmp_path, capsys):
     # A reversed cycle (v -> v-1) makes --auto's verified selector carry the
-    # task: two iterations of its 90 sets, and no Disperse round.
+    # task: two iterations of its 90 sets, and no Disperse round.  With no
+    # --seed, the default seed 0 builds another selector, so another trace.
     n = 8
     network = tmp_path / "reversed.net"
     network.write_text(f"{n}\n" + "".join(f"{v}: {(v - 1) % n}\n" for v in range(n)),
                        encoding="utf-8")
     trace = tmp_path / "reversed.trace"
-    code, out, _ = run(capsys, "simulate", "--network", network, "--kappa", 4, "--auto",
-                       "--seed", 1, "-m", 90, "--trace", trace)
-    assert code == 0
-    assert out == ("kappa=4\nrounds_total=196 rounds_selector=180 rounds_disperse=0 "
-                   "rounds_rr=16\naudit=pass\n")
-    assert sha256(trace) == "65cffeae7bb8a4816ce1a7f01d1237aecf6ab4b3490e0a964e4c50cce306cb2b"
+    for seed_args, trace_sha in [
+        (("--seed", 1), "65cffeae7bb8a4816ce1a7f01d1237aecf6ab4b3490e0a964e4c50cce306cb2b"),
+        ((), "1e48c010b82e4f0d981331437569e22e23c92e10a68c8efca909bbfec0b6839c"),
+    ]:
+        code, out, _ = run(capsys, "simulate", "--network", network, "--kappa", 4, "--auto",
+                           *seed_args, "-m", 90, "--trace", trace)
+        assert code == 0
+        assert out == ("kappa=4\nrounds_total=196 rounds_selector=180 rounds_disperse=0 "
+                       "rounds_rr=16\naudit=pass\n")
+        assert sha256(trace) == trace_sha, seed_args
 
 
 def test_golden_simulate_selector_trace(tmp_path, capsys):
