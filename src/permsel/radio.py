@@ -10,7 +10,9 @@ selector-driven quasi-gossip protocol, and full gossip by schedule replay.
 A round's deliveries and collisions depend only on the network and the
 transmitter set, so a network resolves each transmitter set once: `step`
 keeps the outcome of every set it meets on a network, and a later round of
-the same set only applies its deliveries.
+the same set only applies its deliveries.  A network also builds each
+edge's link once: the receiver, the (receiver, sender) pair and the
+"v<-u" trace text, which every outcome delivering along that edge shares.
 
 A rumor is identified by its originator's label, and every rumor set is an
 int bitmask: bit r is set when the set holds rumor r.  Union is `|`, and a
@@ -50,25 +52,28 @@ def _check_node_count(n: int) -> None:
 class Network:
     """Directed graph on nodes 0..n-1, n >= 1.  An input self-loop is
     accepted and dropped from out_edges, because a node never delivers to
-    itself.  `outcomes`, not part of its value, is `step`'s record of the
-    outcome of each transmitter set on this network."""
+    itself.  `links[u]` holds one (v, (v, u), "v<-u") link per out-edge
+    u -> v, built once here and shared by every round that delivers along
+    the edge.  `outcomes` is `step`'s record of the outcome of each
+    transmitter set on this network.  Neither is part of its value."""
 
     out_edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "out_edges",
-                           tuple(frozenset(s) - {v} for v, s in enumerate(self.out_edges)))
-        n = len(self.out_edges)
+        out_edges = tuple(frozenset(s) - {v} for v, s in enumerate(self.out_edges))
+        object.__setattr__(self, "out_edges", out_edges)
+        n = len(out_edges)
         _check_node_count(n)
-        for v, outs in enumerate(self.out_edges):
-            for w in outs:
-                if not 0 <= w < n:
-                    raise ValueError(f"node {v} has out-edge to {w} outside [0, {n})")
         in_nbrs = [set() for _ in range(n)]
-        for u, outs in enumerate(self.out_edges):
+        links = []
+        for u, outs in enumerate(out_edges):
             for v in outs:
+                if not 0 <= v < n:
+                    raise ValueError(f"node {u} has out-edge to {v} outside [0, {n})")
                 in_nbrs[v].add(u)
+            links.append(tuple((v, (v, u), f"{v}<-{u}") for v in outs))
         object.__setattr__(self, "in_neighbors", tuple(frozenset(s) for s in in_nbrs))
+        object.__setattr__(self, "links", tuple(links))
         object.__setattr__(self, "outcomes", {})
 
     @property
@@ -233,40 +238,52 @@ def step(network: Network, state: SimState, transmitters: Iterable[int],
     appended to `state.records`.
 
     The network resolves each transmitter set once: the set's
-    (transmitters, received, collisions, text) is stored in
+    (transmitters, received, collisions, text, direct) is stored in
     `network.outcomes` on its first use there, and every round of the set
-    shares it.  Each message is the transmitter's full rumor set as it was
-    at the start of the round: every message is read before any receiver's
+    shares it.  The received pairs and the rx text are the network's
+    shared links, so a delivery allocates nothing.  Each message is the
+    transmitter's full rumor set as it was at the start of the round.
+    `direct` holds when no receiver transmits in the round: then no
+    message changes while the round delivers, and each delivery is applied
+    as it is read.  Otherwise every message is read before any receiver's
     set grows.  A transmitter label outside [0, n) raises before the state
     changes and is never stored.
     """
     tx = frozenset(transmitters)
     outcome = network.outcomes.get(tx)
     if outcome is None:
-        n, out_edges = network.n, network.out_edges
-        # A reached node's one sender, or None once a second sender reaches it.
-        sender: dict[int, Optional[int]] = {}
+        n, links = network.n, network.links
+        # A reached node's one link from a sender, or None once a second
+        # sender reaches it.
+        sender: dict[int, Optional[tuple[int, tuple[int, int], str]]] = {}
         for u in tx:
             if not 0 <= u < n:
                 raise ValueError(f"unknown transmitter label {u}")
-            for v in out_edges[u]:
-                sender[v] = None if v in sender else u
+            for link in links[u]:
+                v = link[0]
+                sender[v] = None if v in sender else link
         received, deliveries, collided = [], [], []
+        direct = True
         for v in sorted(sender):
-            u = sender[v]
-            if u is None:
+            link = sender[v]
+            if link is None:
                 collided.append(v)
             else:
-                received.append((v, u))
-                deliveries.append(f"{v}<-{u}")
+                received.append(link[1])
+                deliveries.append(link[2])
+                if v in tx:
+                    direct = False
         text = (f"tx={{{','.join(map(str, sorted(tx)))}}}"
                 f" rx=[{','.join(deliveries)}]"
                 f" collisions=[{','.join(map(str, collided))}]")
-        outcome = network.outcomes[tx] = (tx, tuple(received), frozenset(collided), text)
-    tx, received, collisions, text = outcome
+        outcome = network.outcomes[tx] = (tx, tuple(received), frozenset(collided), text, direct)
+    tx, received, collisions, text, direct = outcome
     record = RoundRecord(state.round, phase, tx, received, collisions, text)
-    if received:
-        held = state.rumors_held
+    held = state.rumors_held
+    if direct:
+        for v, u in received:
+            held[v] |= held[u]
+    else:
         msgs = [held[u] for _, u in received]
         for (v, _), msg in zip(received, msgs):
             held[v] |= msg
@@ -407,9 +424,9 @@ def quasi_gossip(network: Network, state: SimState, kappa: int,
         iterations = math.ceil(math.log2(kappa)) + 1
         half = math.ceil(kappa / 2)
         for _ in range(iterations):
-            active = state.active
+            live = frozenset(v for v in range(network.n) if state.active >> v & 1)
             for s in selector.sets:
-                step(network, state, [v for v in s if active >> v & 1], phase="selector")
+                step(network, state, s & live, phase="selector")
             disperse(network, state, half)
             done = check_quasi_gossip_done(state)
             if done:
@@ -437,9 +454,9 @@ def gossip(network: Network, kappa: Optional[int],
         kappa = choose_kappa(network.n, measure_broadcast_rounds(network))
     state = SimState(network)
     quasi_gossip(network, state, kappa, selector_provider)
-    schedule = [(rec.phase, rec.transmitters) for rec in state.records]
-    for phase, tx in schedule:
-        step(network, state, tx, phase=phase)
+    # A copy of the list: each replayed round appends to state.records.
+    for rec in state.records[:]:
+        step(network, state, rec.transmitters, phase=rec.phase)
     if not gossip_complete(network, state):
         raise GossipIncompleteError("some node is missing rumors after the replay")
     return state

@@ -405,8 +405,19 @@ def selector_to_text(selector: Selector, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Labels(dict):
+    """Word -> int(word), converted on a word's first lookup: a selector
+    file repeats a few distinct labels many times.  A bad word raises
+    from `int`, as it would unmapped."""
+
+    def __missing__(self, word: str) -> int:
+        label = self[word] = int(word)
+        return label
+
+
 def selector_from_text(text: str) -> tuple[Selector, int]:
-    """Parse the text format; returns (selector, k)."""
+    """Parse the text format; returns (selector, k).  A label is any word
+    `int` accepts, and each distinct word is converted once."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -419,9 +430,10 @@ def selector_from_text(text: str) -> tuple[Selector, int]:
     if len(lines) - 1 != m:
         raise ValueError(f"header says m={m} sets but file has {len(lines) - 1} set lines")
     sets = []
+    label_of = _Labels().__getitem__
     for t, line in enumerate(lines[1:]):
         words = line.split()
-        labels = frozenset(map(int, words))
+        labels = frozenset(map(label_of, words))
         if len(labels) != len(words):
             raise ValueError(f"set {t} repeats a label: {line!r}")
         sets.append(labels)

@@ -3,11 +3,12 @@
 They are slow or exhaustive on purpose, and nothing in `permsel` calls
 them: the enumeration oracle of the coupon probabilities, the simulated
 isolation-count tail, the isolation test of one set written from the
-definition, the per-set draw loop that `random_selector`'s one-pass kernel
-reproduces bit for bit, the active-path DFS of the quasi-gossip analysis, an
-independent copy of the collision rule that audits a recorded run, and
-the earlier resolve-and-format body of `radio.step` that a set's stored
-outcome is checked against.
+definition, the word-by-word selector parse that the parse converting each
+distinct word once must match, the per-set draw loop that
+`random_selector`'s one-pass kernel reproduces bit for bit, the active-path
+DFS of the quasi-gossip analysis, an independent copy of the collision
+rule that audits a recorded run, and the earlier resolve-and-format body
+of `radio.step` that a set's stored outcome is checked against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from permsel import coupon
 from permsel.coupon import _validate_jump
 from permsel.errors import BudgetExceededError
 from permsel.radio import Network, SimState
-from permsel.selectors import Label
+from permsel.selectors import Label, Selector
 
 # ---------------------------------------------------------------------------
 # coupon: enumeration and the simulated tail
@@ -94,6 +95,34 @@ def isolates(s: Iterable[Label], x_set: Iterable[Label]) -> Optional[Label]:
 
 
 # ---------------------------------------------------------------------------
+# selectors: the text parse
+# ---------------------------------------------------------------------------
+
+def selector_from_text(text: str) -> tuple[Selector, int]:
+    """`selectors.selector_from_text` as it was before it converted each
+    distinct word once: `int` on every word of every set line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError("empty selector file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"bad header {lines[0]!r}: expected 'N k m'")
+    n, k, m = (int(w) for w in header)
+    if len(lines) - 1 != m:
+        raise ValueError(f"header says m={m} sets but file has {len(lines) - 1} set lines")
+    sets = []
+    for t, line in enumerate(lines[1:]):
+        words = line.split()
+        labels = frozenset(map(int, words))
+        if len(labels) != len(words):
+            raise ValueError(f"set {t} repeats a label: {line!r}")
+        sets.append(labels)
+    return Selector(n, tuple(sets)), k
+
+
+# ---------------------------------------------------------------------------
 # build: one numpy generator per set
 # ---------------------------------------------------------------------------
 
@@ -130,9 +159,10 @@ def audit_trace(network: Network, state: SimState) -> bool:
 
 
 def resolve_round(network: Network, transmitters: Iterable[int]) -> tuple:
-    """The (transmitters, received, collisions, text) outcome of one round,
-    resolved and formatted as `radio.step` did before it sorted once per
-    set: a sender map over the transmitters, then sorted comprehensions."""
+    """The (transmitters, received, collisions, text, direct) outcome of one
+    round, resolved and formatted as `radio.step` did before it sorted once
+    per set: a sender map over the transmitters, then sorted comprehensions.
+    `direct` holds when no receiver is also a transmitter."""
     tx = frozenset(transmitters)
     sender: dict[int, Optional[int]] = {}
     for u in tx:
@@ -145,7 +175,8 @@ def resolve_round(network: Network, transmitters: Iterable[int]) -> tuple:
     text = (f"tx={{{','.join(str(v) for v in sorted(tx))}}}"
             f" rx=[{','.join(f'{v}<-{u}' for v, u in received)}]"
             f" collisions=[{','.join(str(v) for v in sorted(collisions))}]")
-    return tx, received, collisions, text
+    direct = not any(v in tx for v, _ in received)
+    return tx, received, collisions, text, direct
 
 
 def _labels(mask: int) -> list[int]:

@@ -223,7 +223,8 @@ def test_resolving_each_set_once_changes_nothing_observable(case):
     # Each network keeps its own outcomes, and every round on it matches a
     # round resolved from scratch on a fresh network with the same edges.
     # Each stored outcome is also the one the earlier body of `step`
-    # (`oracles.resolve_round`) resolves and formats for its set.
+    # (`oracles.resolve_round`) resolves and formats for its set, with the
+    # direct flag: no receiver of the round transmits in it.
     for out in case[:2]:
         g = net(*out)
         warm, cold = SimState(g), SimState(g)
@@ -237,8 +238,9 @@ def test_resolving_each_set_once_changes_nothing_observable(case):
         assert audit_trace(g, warm)
         assert set(g.outcomes) == set(case[2])
         for rec in warm.records:
+            direct = all(v not in rec.transmitters for v, _ in rec.received)
             assert g.outcomes[rec.transmitters] == (
-                rec.transmitters, rec.received, rec.collisions, rec.text)
+                rec.transmitters, rec.received, rec.collisions, rec.text, direct)
         for tx, outcome in g.outcomes.items():
             assert outcome == oracles.resolve_round(g, tx)
 
@@ -251,13 +253,81 @@ def test_rounds_of_one_set_get_records_of_their_own():
     first, second = step(g, st, {0, 1}), step(g, st, {0, 1})
     assert first is not second and first.text is second.text
     outcome = g.outcomes[frozenset({0, 1})]
-    assert outcome == (frozenset({0, 1}), ((1, 0),), frozenset({2}), "tx={0,1} rx=[1<-0] collisions=[2]")
+    # Receiver 1 transmits in the round, so the round is not direct.
+    assert outcome == (frozenset({0, 1}), ((1, 0),), frozenset({2}), "tx={0,1} rx=[1<-0] collisions=[2]",
+                       False)
     kept = dataclasses.replace(second)
     for field in dataclasses.fields(RoundRecord):
         setattr(first, field.name, None)
     assert second == kept and second.line() == "round=1 tx={0,1} rx=[1<-0] collisions=[2]"
     assert g.outcomes == {frozenset({0, 1}): outcome}
     assert step(g, st, {0, 1}).line() == "round=2 tx={0,1} rx=[1<-0] collisions=[2]"
+
+
+def test_outcomes_deliver_along_an_edge_through_its_one_link():
+    # {0} and {0, 2} both deliver along 0 -> 1: their received tuples hold
+    # the network's one (1, 0) pair.
+    g = net({1}, set(), {0})
+    st = SimState(g)
+    alone, both = step(g, st, {0}), step(g, st, {0, 2})
+    assert (alone.received, both.received) == (((1, 0),), ((0, 2), (1, 0)))
+    assert alone.received[0] is both.received[1] is g.links[0][0][1]
+    assert g.links == (((1, (1, 0), "1<-0"),), (), ((0, (0, 2), "0<-2"),))
+    # {0} is direct; in {0, 2} receiver 0 transmits, so 1 gets 0's rumors
+    # from before the round.
+    assert g.outcomes[frozenset({0})][4] and not g.outcomes[frozenset({0, 2})][4]
+    assert st.rumors_held == [0b101, 0b011, 0b100]
+
+
+def test_a_self_loop_read_from_a_file_gets_no_link():
+    g = network_from_text("3\n0: 0 1\n1: 1\n2: 0 2\n")
+    assert g.links == (((1, (1, 0), "1<-0"),), (), ((0, (0, 2), "0<-2"),))
+    st = SimState(g)
+    rec = step(g, st, {0, 1, 2})
+    assert rec.line() == "round=0 tx={0,1,2} rx=[0<-2,1<-0] collisions=[]"
+
+
+def test_links_and_outcomes_are_not_part_of_a_networks_value():
+    a, b = net({1, 2}, {2}, {0}), net({1, 2}, {2}, {0})
+    st = SimState(a)
+    for tx in ({0}, {0, 1}, {2}):
+        step(a, st, tx)
+    assert a.outcomes and not b.outcomes
+    assert a == b and hash(a) == hash(b)
+
+
+@strategies.composite
+def networks_with_a_transmitting_receiver(draw):
+    """A network with an edge 0 -> 1 and a schedule that starts with the
+    round {0, 1}, in which 1 both transmits and receives from 0, followed
+    by sets of at least two transmitters."""
+    n = draw(strategies.integers(2, 7))
+    labels = strategies.integers(0, n - 1)
+    out = draw(strategies.lists(strategies.sets(labels, max_size=n), min_size=n, max_size=n))
+    out[0].add(1)
+    schedule = draw(strategies.lists(strategies.frozensets(labels, min_size=2), max_size=12))
+    return out, [frozenset({0, 1}), *schedule]
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks_with_a_transmitting_receiver())
+@example(([{1}, {2}, set()], [frozenset({0, 1})]))
+def test_rounds_whose_receivers_transmit_read_every_message_first(case):
+    # Where a receiver also transmits, its message is its rumor set from
+    # the start of the round: each round's rumor flow is re-derived from a
+    # copy of the sets taken before it, and its deliveries by the audit.
+    out, schedule = case
+    g = net(*out)
+    st = SimState(g)
+    for tx in schedule:
+        start = tuple(st.rumors_held)
+        expected = list(start)
+        rec = step(g, st, tx)
+        for v, u in rec.received:
+            expected[v] |= start[u]
+        assert st.rumors_held == expected
+    assert not g.outcomes[frozenset({0, 1})][4]
+    assert audit_trace(g, st)
 
 
 def test_networks_resolve_the_same_set_each_their_own_way():

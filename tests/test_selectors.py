@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import isolates
 from permsel import selectors
 from permsel.build import random_selector
@@ -476,3 +477,53 @@ def test_text_reads_signed_and_padded_labels_and_crlf():
     assert selector_from_text("4 2 2\n+2 03\n\n") == (sel(4, {2, 3}, set()), 2)
     text = selector_to_text(sel(5, {0, 3}, set(), {1, 2, 4}), 2)
     assert selector_from_text(text.replace("\n", "\r\n")) == selector_from_text(text)
+
+
+def parse_outcome(parse, text):
+    """What a parse returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as e:  # the exception itself is the outcome compared
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("text", [
+    "12 2 2\n07 +3 11\n\n",
+    "12 2 2\n07 7\n3\n",
+    "12 2 1\n1_0 -1\n",
+    "12 2 1\n0 12\n",
+    "4 2 1\n0 x\n",
+    "4 2 1\n0 3.0\n",
+    "4 2 1\n1 01\n",
+    "4 2 1\n+1 1\n",
+    "4 2 3\r\n1 2\r\n\r\n03 +0\r\n",
+    "4 2 3\n\n\n\n",
+    "4 2 2\n1 2\n",
+    "4 2 x\n1 2\n",
+    "",
+], ids=["padded-and-plus", "padded-repeat", "underscore-and-negative", "label-N", "non-number", "float",
+        "one-and-zero-one", "plus-one-and-one", "crlf", "empty-sets", "short", "bad-header", "empty"])
+def test_parse_matches_the_word_by_word_parse(text):
+    assert parse_outcome(selector_from_text, text) == parse_outcome(oracles.selector_from_text, text)
+
+
+WORDS = ("0", "1", "01", "07", "7", "+3", "3", "-1", "1_0", "10", "11", "12", "x", "1.0", "+", "")
+
+
+@st.composite
+def selector_texts(draw):
+    """Selector files over N <= 12, mostly well formed, whose labels are
+    spelled padded, signed, with underscores or not as numbers at all."""
+    n = draw(st.sampled_from(("0", "4", "12", "012", "+12", "x")))
+    lines = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), max_size=6))
+    m = len(lines) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    sep = draw(st.sampled_from((" ", "\t")))
+    end = draw(st.sampled_from((eol, "")))
+    return eol.join([f"{n} 2 {m}", *(sep.join(words) for words in lines)]) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(selector_texts())
+def test_parse_matches_the_word_by_word_parse_on_drawn_files(text):
+    assert parse_outcome(selector_from_text, text) == parse_outcome(oracles.selector_from_text, text)
