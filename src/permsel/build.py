@@ -9,6 +9,7 @@ comes out.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -80,9 +81,9 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
 # seeded generation
 # ---------------------------------------------------------------------------
 
-def substream_seed(seed: int, *key: int) -> int:
-    """Derive a 64-bit child seed from (seed, key) via SeedSequence spawn keys."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
+def substream_seed(seed: int, j: int) -> int:
+    """Derive the 64-bit child seed j of seed via the SeedSequence spawn key (j,)."""
+    ss = np.random.SeedSequence(seed, spawn_key=(j,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -151,52 +152,26 @@ def _mulhi64(a0, a1, b0, b1):
     return p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
 
 
-def _halves(*xs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The low and high 64-bit halves of 128-bit integers, shaped (len(xs), 1, 1)."""
-    return (np.array([[[x & _MASK64]] for x in xs], dtype=_U64),
-            np.array([[[x >> 64]] for x in xs], dtype=_U64))
-
-
-def _affine_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
-    return _frozen(lo, hi, lo & _LO32, lo >> _SHIFT32)
-
-
-# `_pcg_affine`'s table, grown on demand: the process keeps one, as long as
-# the largest universe drawn so far.  It starts at j = 1: P_1 = M^2 and
-# Q_1 = M^2 + M + 1.
-_AFFINE = _affine_table(*_halves(_PCG_MULT**2 & _MASK128,
-                                 (1 + _PCG_MULT + _PCG_MULT**2) & _MASK128))
-
-
-def _pcg_affine(universe_size: int) -> tuple[np.ndarray, ...]:
-    """The state behind draw j = 1..N of a PCG64 seeded with (s, initseq).
+@functools.cache
+def _pcg_table(size: int) -> tuple[np.ndarray, ...]:
+    """The state behind draw j = 1..size of a PCG64 seeded with (s, initseq).
 
     Seeding sets state = (inc + s) * M + inc with inc = 2 initseq + 1, and
     each draw steps state = state * M + inc before it outputs, so draw j
     reads P_j s + Q_j inc with P_j = M^(j+1) and Q_j = M^(j+1) + ... + M + 1
-    (mod 2^128).  Returns, over j on the last axis and (P, Q) on the first,
+    (mod 2^128): P_j = M P_(j-1) and Q_j = M Q_(j-1) + 1 from P_0 = M and
+    Q_0 = M + 1.  Returns, over j on the last axis and (P, Q) on the first,
     the low and high 64-bit halves and the low half's two 32-bit halves.
-
-    A table of L draws doubles: P_(j+L) = M^L P_j and Q_(j+L) = M^L Q_j + S,
-    where S = M^(L-1) + ... + M + 1 = Q_L - P_L - M^L.
     """
-    global _AFFINE
-    lo, hi, lo0, lo1 = _AFFINE
-    while lo.shape[-1] < universe_size:
-        size = lo.shape[-1]
-        grow = min(size, universe_size - size)
-        scale = pow(_PCG_MULT, size, 1 << 128)
-        p_last, q_last = (int(top) << 64 | int(low) for top, low in zip(hi[:, 0, -1], lo[:, 0, -1]))
-        c_lo, c_hi = _halves(scale)
-        s_lo, s_hi = _halves(0, (q_last - p_last - scale) & _MASK128)
-        a_lo, a_hi = lo[..., :grow], hi[..., :grow]
-        b_lo = a_lo * c_lo + s_lo
-        b_hi = (a_hi * c_lo + a_lo * c_hi + s_hi + (b_lo < s_lo)
-                + _mulhi64(lo0[..., :grow], lo1[..., :grow], c_lo & _LO32, c_lo >> _SHIFT32))
-        _AFFINE = _affine_table(np.concatenate((lo, b_lo), axis=-1),
-                                np.concatenate((hi, b_hi), axis=-1))
-        lo, hi, lo0, lo1 = _AFFINE
-    return tuple(a[..., :universe_size] for a in _AFFINE)
+    p, q, terms = _PCG_MULT, _PCG_MULT + 1, ([], [])
+    for _ in range(size):
+        p = p * _PCG_MULT & _MASK128
+        q = (q * _PCG_MULT + 1) & _MASK128
+        terms[0].append(p)
+        terms[1].append(q)
+    lo = np.array([[x & _MASK64 for x in row] for row in terms], dtype=_U64).reshape(2, 1, size)
+    hi = np.array([[x >> 64 for x in row] for row in terms], dtype=_U64).reshape(2, 1, size)
+    return _frozen(lo, hi, lo & _LO32, lo >> _SHIFT32)
 
 
 def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[frozenset]:
@@ -205,14 +180,15 @@ def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[
     Each set t is the labels x with Generator(PCG64(SeedSequence(seed,
     spawn_key=(t,)))).random(universe_size)[x] < 1/k.  The SeedSequence
     steps that read t run as uint32 array operations over t; the PCG64 states
-    are the affine grid of `_pcg_affine`, in 64-bit halves; a draw is
-    XSL-RR's output, and (output >> 11) * 2^-53 < 1/k is the integer test
-    (output >> 11) < ceil(2^53 * (1/k)).
+    are the affine grid of `_pcg_table`, in 64-bit halves, read from the
+    table of the next power of two >= N, so a process builds one table per
+    size class; a draw is XSL-RR's output, and (output >> 11) * 2^-53 < 1/k
+    is the integer test (output >> 11) < ceil(2^53 * (1/k)).
     """
     n = universe_size
     threshold = _U64(math.ceil(1.0 / k * 2.0**53))
     pool, hash_before, hash_after = _seed_pool(seed)
-    y_lo, y_hi, y_lo0, y_lo1 = _pcg_affine(n)
+    y_lo, y_hi, y_lo0, y_lo1 = (a[..., :n] for a in _pcg_table(1 << (n - 1).bit_length()))
     rows = max(1, _DRAW_CHUNK // max(n, 1))
     sets: list[frozenset] = []
     for a in range(t0, t1, rows):
@@ -269,6 +245,8 @@ def random_selector(k: int, universe_size: int, m: int, seed: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if universe_size < 0:
+        raise ValueError("universe_size must be non-negative")
     if m < 0:
         raise ValueError("m must be non-negative")
     if m > 2**32:

@@ -4,9 +4,10 @@
 at once; `oracles.draw_per_set` builds one generator per set, as
 random_selector did before.  Every set must come out the same: over seeds
 of one to seven 32-bit words (both sides of several word boundaries), every
-universe size up to 40 plus 250 and 1000, every k up to 12, ranges that
-start past 0 or end at the last one-word spawn key, chunks of one row, a
-table of PCG64 constants grown in steps, and draws that borrow a prefix.
+universe size up to 40 plus 250, 1000 and both sides of two powers of two,
+every k up to 12, ranges that start past 0 or end at the last one-word spawn
+key, chunks of one row, PCG64 constant tables built per power-of-two size
+class in any order, and draws that borrow a prefix.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,8 @@ from permsel.selectors import Selector
 # Six- and seven-word seeds pin the four hash steps per word past the fourth.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890,
          2**160, 2**224 - 1]
-UNIVERSES = list(range(41)) + [250, 1000]
+# 255..257 and 1023..1025 straddle the edges of the PCG64 tables' size classes.
+UNIVERSES = list(range(41)) + [250, 255, 256, 257, 1000, 1023, 1024, 1025]
 
 
 def per_set(k, n, m, seed):
@@ -51,13 +53,16 @@ def test_draw_chunks_match_per_set_oracle(monkeypatch, chunk, n):
     assert build._draw_sets(3, n, 77, 2, 31) == draw_per_set(3, n, 77, 2, 31)
 
 
-@pytest.mark.parametrize("sizes", [(1000,), (1, 2, 3, 7, 12, 40, 41, 250, 1000)])
-def test_affine_table_grows_to_match_per_set_oracle(monkeypatch, sizes):
-    # From a table of one draw: one jump to N = 1000, and growth in uneven steps.
-    monkeypatch.setattr(build, "_AFFINE", tuple(a[..., :1] for a in build._AFFINE))
-    for n in sizes:
+def test_pcg_tables_match_per_set_oracle():
+    # From no table: one jump to N = 1000, then size classes in uneven steps.
+    build._pcg_table.cache_clear()
+    for n in (1000, 1, 2, 3, 7, 12, 40, 41, 250, 1000):
         assert build._draw_sets(5, n, 3, 0, 3) == draw_per_set(5, n, 3, 0, 3), n
-    assert build._AFFINE[0].shape == (2, 1, max(sizes))
+    # One table per size class: 1, 2, 4, 8, 16, 64, 256 and 1024.
+    assert build._pcg_table.cache_info().currsize == 8
+    for a in build._pcg_table(1024):
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0
 
 
 def test_draw_spanning_default_chunks_matches_per_set_oracle():
@@ -73,15 +78,22 @@ def test_draw_after_a_prefix_matches_per_set_oracle(m2):
         assert random_selector(3, 10, m, 9, prefix=prefix) == per_set(3, 10, m, 9)
 
 
+def no_draw(*args):
+    raise AssertionError("_draw_sets called")
+
+
 def test_a_lent_draw_runs_no_kernel(monkeypatch):
     prefix = random_selector(3, 10, 6, 9)
-
-    def no_draw(*args):
-        raise AssertionError("_draw_sets called")
-
     monkeypatch.setattr(build, "_draw_sets", no_draw)
     assert random_selector(3, 10, 6, 9, prefix=prefix) == prefix
     assert len(random_selector(3, 10, 0, 9)) == 0
+
+
+def test_a_negative_universe_is_refused_before_the_draw(monkeypatch):
+    # Drawing m empty rows first would take time that grows with m.
+    monkeypatch.setattr(build, "_draw_sets", no_draw)
+    with pytest.raises(ValueError, match="^universe_size must be non-negative$"):
+        random_selector(2, -1, 10**6, 0)
 
 
 @given(seed=st.integers(0, 2**160), n=st.integers(0, 64),

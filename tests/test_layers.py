@@ -35,6 +35,14 @@ def test_module_imports_only_earlier_layers(module):
     assert relative_imports(SRC / f"{module}.py") <= earlier
 
 
+def test_no_module_rebinds_a_global():
+    # A module variable that code rebinds is shared by every caller in the process.
+    rebinding = [path.name for path in sorted(SRC.glob("*.py"))
+                 if any(isinstance(node, ast.Global)
+                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert rebinding == []
+
+
 def test_coupon_imports_no_package_module():
     assert relative_imports(SRC / "coupon.py") == set()
 
