@@ -53,13 +53,17 @@ def test_draw_chunks_match_per_set_oracle(monkeypatch, chunk, n):
     assert build._draw_sets(3, n, 77, 2, 31) == draw_per_set(3, n, 77, 2, 31)
 
 
-def test_pcg_tables_match_per_set_oracle():
-    # From no table: one jump to N = 1000, then size classes in uneven steps.
+@pytest.mark.parametrize("sizes", [(1000,), (1, 2, 3, 7, 12, 40, 41, 250, 1000),
+                                   (1000, 1, 2, 3, 7, 12, 40, 41, 250, 1000)])
+def test_affine_table_grows_to_match_per_set_oracle(sizes):
+    # From no table: one jump to N = 1000, growth in uneven steps, and small
+    # sizes read after the largest table is built.
     build._pcg_table.cache_clear()
-    for n in (1000, 1, 2, 3, 7, 12, 40, 41, 250, 1000):
+    for n in sizes:
         assert build._draw_sets(5, n, 3, 0, 3) == draw_per_set(5, n, 3, 0, 3), n
-    # One table per size class: 1, 2, 4, 8, 16, 64, 256 and 1024.
-    assert build._pcg_table.cache_info().currsize == 8
+    # One table per size class: the next power of two >= each N.
+    classes = {1 << (n - 1).bit_length() for n in sizes}
+    assert build._pcg_table.cache_info().currsize == len(classes)
     for a in build._pcg_table(1024):
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 0
