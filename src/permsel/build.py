@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .coupon import chernoff_alpha, chernoff_delta, isolation_gamma, tail_beta
 from .errors import AttemptsExhaustedError
 from .selectors import (DEFAULT_BUDGET, Selector, _charge, _instances, check_request, check_target,
@@ -83,6 +81,7 @@ def derive_size_params(k: int, universe_size: int, q: Optional[int] = None) -> S
 
 def substream_seed(seed: int, j: int) -> int:
     """Derive the 64-bit child seed j of seed via the SeedSequence spawn key (j,)."""
+    import numpy as np
     ss = np.random.SeedSequence(seed, spawn_key=(j,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -92,6 +91,8 @@ def substream_seed(seed: int, j: int) -> int:
 # numpy computes the steps that depend on the seed alone, as the pool of
 # SeedSequence(seed); `_draw_sets` recomputes the rest for many t at once: the
 # four hash steps that mix t's word into the pool and generate_state's eight.
+# numpy is imported by the functions that draw, so commands that never draw
+# start without it.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -106,32 +107,33 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # so its (set, label) grid stays about this size.
 _DRAW_CHUNK = 1 << 13
 
-_U32 = np.uint32
-_U64 = np.uint64
-_LO32 = _U64(_MASK32)
-_SHIFT32 = _U64(32)
 
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def _frozen(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constants first..first+count-1: step i hashes with
-    init * mult^i mod 2^32 and leaves step i+1's."""
+def _hash_constants(init: int, mult: int, first: int, count: int):
+    """SeedSequence's hash constants first..first+count-1, a uint32 array:
+    step i hashes with init * mult^i mod 2^32 and leaves step i+1's."""
+    import numpy as np
     return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(first, first + count)],
-                    dtype=_U32)
+                    dtype=np.uint32)
 
 
-# generate_state's hash constants before and after its eight steps.  Step i
-# hashes pool word i % 4, so they come as two rows of four, one per pass.
-_GEN_BEFORE, _GEN_AFTER = _frozen(*(_hash_constants(_SS_INIT_B, _SS_MULT_B, first, 8).reshape(2, 4)
-                                    for first in (0, 1)))
+@functools.cache
+def _constants():
+    """The uint64 mask of a low 32-bit half and the uint64 shift of 32, then
+    generate_state's hash constants before and after its eight steps.  Step
+    i hashes pool word i % 4, so they come as two rows of four, one per pass."""
+    import numpy as np
+    return (np.uint64(_MASK32), np.uint64(32),
+            *_frozen(*(_hash_constants(_SS_INIT_B, _SS_MULT_B, first, 8).reshape(2, 4)
+                       for first in (0, 1))))
 
 
-def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
+def _seed_pool(seed: int):
     """What SeedSequence(seed, spawn_key=(t,)) computes before it reads t.
 
     The entropy is the seed's 32-bit words, zero-padded to the pool size,
@@ -140,20 +142,23 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
     word past the fourth.  Returns the pool times _SS_MIX_L, and the hash
     constants before and after each of the four steps that t goes through.
     """
+    import numpy as np
     first = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
     hash_consts = _hash_constants(_SS_INIT_A, _SS_MULT_A, first, 5)
-    return np.random.SeedSequence(seed).pool * _U32(_SS_MIX_L), hash_consts[:4], hash_consts[1:]
+    pool = np.random.SeedSequence(seed).pool
+    return pool * np.uint32(_SS_MIX_L), hash_consts[:4], hash_consts[1:]
 
 
 def _mulhi64(a0, a1, b0, b1):
     """High 64 bits of a*b, from the 32-bit halves a = a1:a0 and b = b1:b0."""
+    lo32, shift32 = _constants()[:2]
     p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
-    return p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    mid = (p00 >> shift32) + (p01 & lo32) + (p10 & lo32)
+    return p11 + (p01 >> shift32) + (p10 >> shift32) + (mid >> shift32)
 
 
 @functools.cache
-def _pcg_table(size: int) -> tuple[np.ndarray, ...]:
+def _pcg_table(size: int):
     """The state behind draw j = 1..size of a PCG64 seeded with (s, initseq).
 
     Seeding sets state = (inc + s) * M + inc with inc = 2 initseq + 1, and
@@ -163,15 +168,17 @@ def _pcg_table(size: int) -> tuple[np.ndarray, ...]:
     Q_0 = M + 1.  Returns, over j on the last axis and (P, Q) on the first,
     the low and high 64-bit halves and the low half's two 32-bit halves.
     """
+    import numpy as np
+    lo32, shift32 = _constants()[:2]
     p, q, terms = _PCG_MULT, _PCG_MULT + 1, ([], [])
     for _ in range(size):
         p = p * _PCG_MULT & _MASK128
         q = (q * _PCG_MULT + 1) & _MASK128
         terms[0].append(p)
         terms[1].append(q)
-    lo = np.array([[x & _MASK64 for x in row] for row in terms], dtype=_U64).reshape(2, 1, size)
-    hi = np.array([[x >> 64 for x in row] for row in terms], dtype=_U64).reshape(2, 1, size)
-    return _frozen(lo, hi, lo & _LO32, lo >> _SHIFT32)
+    lo = np.array([[x & _MASK64 for x in row] for row in terms], np.uint64).reshape(2, 1, size)
+    hi = np.array([[x >> 64 for x in row] for row in terms], np.uint64).reshape(2, 1, size)
+    return _frozen(lo, hi, lo & lo32, lo >> shift32)
 
 
 def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[frozenset]:
@@ -185,8 +192,10 @@ def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[
     size class; a draw is XSL-RR's output, and (output >> 11) * 2^-53 < 1/k
     is the integer test (output >> 11) < ceil(2^53 * (1/k)).
     """
+    import numpy as np
     n = universe_size
-    threshold = _U64(math.ceil(1.0 / k * 2.0**53))
+    lo32, shift32, gen_before, gen_after = _constants()
+    threshold = np.uint64(math.ceil(1.0 / k * 2.0**53))
     pool, hash_before, hash_after = _seed_pool(seed)
     y_lo, y_hi, y_lo0, y_lo1 = (a[..., :n] for a in _pcg_table(1 << (n - 1).bit_length()))
     rows = max(1, _DRAW_CHUNK // max(n, 1))
@@ -195,33 +204,33 @@ def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[
         b = min(t1, a + rows)
         # SeedSequence: t's word mixed into each pool word, then the eight
         # words of generate_state(4, uint64), paired low word first.
-        v = (np.arange(a, b, dtype=_U32)[:, None] ^ hash_before) * hash_after
-        v ^= v >> _U32(16)
-        v = pool - _U32(_SS_MIX_R) * v
-        v ^= v >> _U32(16)
-        w = (v[:, None, :] ^ _GEN_BEFORE) * _GEN_AFTER
-        w ^= w >> _U32(16)
-        w = w.reshape(b - a, 8).astype(_U64)
-        words = w[:, 0::2] | (w[:, 1::2] << _SHIFT32)
+        v = (np.arange(a, b, dtype=np.uint32)[:, None] ^ hash_before) * hash_after
+        v ^= v >> np.uint32(16)
+        v = pool - np.uint32(_SS_MIX_R) * v
+        v ^= v >> np.uint32(16)
+        w = (v[:, None, :] ^ gen_before) * gen_after
+        w ^= w >> np.uint32(16)
+        w = w.reshape(b - a, 8).astype(np.uint64)
+        words = w[:, 0::2] | (w[:, 1::2] << shift32)
         # PCG64 seeds with s = words[0]:words[1] (high:low) and initseq =
         # words[2]:words[3], whose inc = 2 initseq + 1 overwrites it.
-        carry = words[:, 3] >> _U64(63)
-        words[:, 2:] <<= _U64(1)
+        carry = words[:, 3] >> np.uint64(63)
+        words[:, 2:] <<= np.uint64(1)
         words[:, 2] |= carry
-        words[:, 3] |= _U64(1)
+        words[:, 3] |= np.uint64(1)
         # (s, inc) on the first axis, rows on the second.
         x_hi, x_lo = words.T[0::2, :, None], words.T[1::2, :, None]
         lo = x_lo * y_lo
         state_lo = lo[0] + lo[1]
         hi = x_hi * y_lo
         hi += x_lo * y_hi
-        hi += _mulhi64(x_lo & _LO32, x_lo >> _SHIFT32, y_lo0, y_lo1)
+        hi += _mulhi64(x_lo & lo32, x_lo >> shift32, y_lo0, y_lo1)
         state_hi = hi[0] + hi[1] + (state_lo < lo[0])
         # XSL-RR: rotate hi ^ lo right by the state's top six bits.
-        rot = state_hi >> _U64(58)
+        rot = state_hi >> np.uint64(58)
         out = state_hi ^ state_lo
-        out = (out >> rot) | ((out << _U64(1)) << (rot ^ _U64(63)))
-        hits = np.flatnonzero((out >> _U64(11)) < threshold)
+        out = (out >> rot) | ((out << np.uint64(1)) << (rot ^ np.uint64(63)))
+        hits = np.flatnonzero((out >> np.uint64(11)) < threshold)
         labels = (hits % n).tolist()
         # Set a + r's hits end before flat index (r + 1) * n.
         start = 0
@@ -277,6 +286,8 @@ class BuildConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.m_override is not None and self.m_override < 0:

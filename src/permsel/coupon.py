@@ -34,8 +34,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-import numpy as np
-
 # Trials per Monte-Carlo chunk, fewer (but one at least) where a chunk would
 # hold more than MC_MAX_ELEMENTS draws.  A chunk peaks at about 9 bytes per
 # draw: the 8-byte draw and its one-byte blocks (two-byte past 255 blocks).
@@ -176,6 +174,7 @@ def p_monte_carlo(ell: int, k: int, q: int, trials: int = 10_000,
     Trials are drawn and scanned in chunks (see MC_CHUNK), so memory is
     O(max(MC_MAX_ELEMENTS, ell)) whatever the number of trials.
     """
+    import numpy as np
     _validate_ell_k(ell, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import GossipIncompleteError, NotStronglyConnectedError, QuasiGossipFailedError
 from .selectors import Selector
 
@@ -121,6 +119,7 @@ def load_network(path) -> Network:
 def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Network:
     """A directed Hamiltonian cycle over a random permutation plus independent
     extra edges, each present with the given probability."""
+    import numpy as np
     _check_node_count(n)
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be in [0, 1]")

@@ -84,9 +84,11 @@ def test_smallest_c_near_zero_beta():
     # negative seed is kept.
     (lambda: random_selector(2, 4, 2**32 + 1, seed=0), "m must be at most 2**32"),
     (lambda: random_selector(2, 4, 3, seed=-1), "expected non-negative integer"),
+    (lambda: BuildConfig(seed=-1), "seed must be non-negative, not -1"),
     (lambda: smallest_c(0.999), "no c on the grid satisfies c*beta^c < 1/16 for beta=0.999"),
     (lambda: smallest_c(0.0), "beta must be in (0, 1)"),
-], ids=["k-zero", "m-negative", "m-above-2**32", "seed-negative", "no-c-on-grid", "beta-zero"])
+], ids=["k-zero", "m-negative", "m-above-2**32", "seed-negative", "config-seed-negative",
+     "no-c-on-grid", "beta-zero"])
 def test_build_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

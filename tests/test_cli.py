@@ -224,6 +224,22 @@ def test_k_outside_1_to_n_gives_one_message(tmp_path, capsys, command, extra, k,
     assert not (tmp_path / "out.sel").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "-k", "2", "-N", "4", "--seed", "-1", "-o", "{dir}/out.sel"),
+    ("minsize", "-k", "2", "-N", "4", "--seed", "-1"),
+    # Five nodes with p=0.5 reach no selector phase, which once let the seed pass.
+    ("simulate", "--random", "5", "0.5", "1", "--auto", "--seed", "-1"),
+], ids=["gen", "minsize", "simulate-auto"])
+def test_a_negative_seed_is_refused_before_any_output(tmp_path, capsys, monkeypatch, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_selector called")
+
+    monkeypatch.setattr(build, "random_selector", no_draw)
+    got = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert got == (2, "", "error: seed must be non-negative, not -1\n")
+    assert not (tmp_path / "out.sel").exists()
+
+
 # ---------------------------------------------------------------------------
 # prob / bound / minsize / sweep
 # ---------------------------------------------------------------------------
