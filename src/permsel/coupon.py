@@ -174,10 +174,12 @@ def p_monte_carlo(ell: int, k: int, q: int, trials: int = 10_000,
     Trials are drawn and scanned in chunks (see MC_CHUNK), so memory is
     O(max(MC_MAX_ELEMENTS, ell)) whatever the number of trials.
     """
-    import numpy as np
     _validate_ell_k(ell, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    import numpy as np
     # Stages never exceed q, so the smallest type that holds it will do.
     stage_type = np.min_scalar_type(q)
     block_of = np.empty(k, dtype=stage_type)

@@ -119,10 +119,12 @@ def load_network(path) -> Network:
 def random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Network:
     """A directed Hamiltonian cycle over a random permutation plus independent
     extra edges, each present with the given probability."""
-    import numpy as np
     _check_node_count(n)
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError("extra_edge_prob must be in [0, 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out_edges = [set() for _ in range(n)]
     if n > 1:

@@ -6,22 +6,24 @@ here check, by exhaustive enumeration, the four selection properties this
 package deals with: strong selection, ordered (permutation) selection, and
 the two "at least q elements" relaxations of each.
 
-All of them read one core.  A verify builds each label's column once (an
-int with bit t set when set t contains the label); the isolation times of
-each x in a target set X are then x's column minus the times that hit two
-or more members of X.  Strong and kq selection count the non-empty ones.
-The permutation target is the kq_permutation target at q = k, and both run
-one path: every ordering of X is decided at once, first by a rounds test
-(|X| rounds, each moving t to the latest first isolation after t over X)
-and, for a set it fails, exactly by a subset DP over X's critical length.
-Only a set failing both has its orderings walked once, in lexicographic
-order, each checked by the longest increasing subsequence of its trace
-positions, so counterexamples stay the lexicographically smallest.
+All four run one walk over the target sets.  A verify builds each label's
+column once (an int with bit t set when set t contains the label); the
+isolation times of each x in a target set X are then x's column minus the
+times that hit two or more members of X.  Strong is kq at q = k, and
+permutation is kq_permutation at q = k.  The walk first tests X in full:
+every element isolated for the unordered targets; every ordering isolated
+in order for the ordered ones, decided at once by a rounds test (|X|
+rounds, each moving t to the latest first isolation after t over X) and,
+for a set it fails, exactly by a subset DP over X's critical length.  Only
+a set failing in full is tested at need = min(q, |X|): the unordered
+targets count X's isolated elements, and the ordered ones walk X's
+orderings once, in lexicographic order, each checked by the longest
+increasing subsequence of its trace positions, so counterexamples stay the
+lexicographically smallest.
 
-In up_to mode strong and the ordered targets skip a set smaller than k
-that lies inside a k-set walked before it, while that k-set's pass vouches
-for it (see `_in_earlier_k_set`); kq skips nothing, since its test is not
-monotone in X.
+In up_to mode every target skips a set smaller than k that lies inside a
+k-set walked before it, while every k-set so far passed in full (see
+`_verify_walk`): a set that meets that k-set in {x} meets X in {x}.
 """
 
 from __future__ import annotations
@@ -258,25 +260,46 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
         )
 
 
-def _walk(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
-          budget: int) -> tuple[list[int], Iterator[tuple[Label, ...]]]:
-    """Validate and charge (see `_charge`), then return the selector's
-    columns and its target sets X in lexicographic order."""
-    _charge(selector.universe_size, len(selector), k, target, q, size_mode, budget)
-    return _columns(selector), iter_subsets(selector.universe_size, k, size_mode)
-
-
-def _in_earlier_k_set(x_tuple: tuple[Label, ...], k: int) -> bool:
-    """Whether X, smaller than k, lies inside a k-set that the up_to walk
-    meets before X: X plus the smallest k - |X| labels below max(X) that X
-    lacks.  Those exist when max(X) >= k - 1, and the first of them sorts
-    the k-set's tuple before X's."""
-    return len(x_tuple) < k and x_tuple[-1] >= k - 1
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
+
+def _verify_walk(selector: Selector, k: int, target: str, q: Optional[int], size_mode: str,
+                 budget: int) -> Verdict:
+    """Validate and charge (see `_charge`), then check `target` on each
+    target set X in lexicographic order, at need = min(q, |X|) (|X| when q
+    is None, for strong and permutation).
+
+    A set that passes in full (see the module docstring) passes at any
+    need.  So does a set smaller than k inside an earlier k-set that did;
+    it is skipped while every k-set so far did, since a k-set that passes
+    only at need vouches for none of its subsets.  The verdict is the
+    smallest failing instance: X, then x (strong) or the order (ordered).
+    """
+    _charge(selector.universe_size, len(selector), k, target, q, size_mode, budget)
+    cols, ordered = _columns(selector), target in _ORDERED_TARGETS
+    k_sets_full = True  # every k-set so far passed in full
+    for x_tuple in iter_subsets(selector.universe_size, k, size_mode):
+        # X plus the smallest k - |X| labels below max(X) that X lacks, which
+        # exist when max(X) >= k - 1, is a k-set that sorts before X.
+        if k_sets_full and len(x_tuple) < k and x_tuple[-1] >= k - 1:
+            continue
+        iso = _isolation_times(cols, x_tuple)
+        if (_rounds_pass(iso) or _critical_length(iso) is not None) if ordered else 0 not in iso:
+            continue
+        if len(x_tuple) == k:
+            k_sets_full = False
+        need = len(x_tuple) if q is None else min(q, len(x_tuple))
+        if ordered:
+            labels = [x for _, x in _trace_events(x_tuple, iso)]
+            for order in permutations(x_tuple):
+                if _ordered_count(labels, order) < need:
+                    return Verdict(ok=False, x_set=x_tuple, order=order)
+        elif len(iso) - iso.count(0) < need:
+            element = x_tuple[iso.index(0)] if q is None else None
+            return Verdict(ok=False, x_set=x_tuple, element=element)
+    return OK
+
 
 # `verify`'s bodies, one per target, named so that perfbench/tracer.py can
 # time each target.  Call `verify`, which checks the request first.
@@ -284,74 +307,27 @@ def _in_earlier_k_set(x_tuple: tuple[Label, ...], k: int) -> bool:
 def verify_strong(selector: Selector, k: int, size_mode: str, budget: int) -> Verdict:
     """`verify`'s body for "strong": every element of every target set is
     isolated by some set.  Returns the lexicographically smallest failing
-    (X, x).
-
-    A set smaller than k inside an earlier k-set is skipped: that k-set
-    passed, and a set that meets it in {x} meets X in {x}.
-    """
-    cols, walk = _walk(selector, k, "strong", None, size_mode, budget)
-    for x_tuple in walk:
-        if _in_earlier_k_set(x_tuple, k):
-            continue
-        for x, times in zip(x_tuple, _isolation_times(cols, x_tuple)):
-            if not times:
-                return Verdict(ok=False, x_set=x_tuple, element=x)
-    return OK
-
-
-def _verify_ordered(selector: Selector, k: int, q: int, size_mode: str, budget: int) -> Verdict:
-    """Check that some q elements of every ordering of every target set are
-    isolated in that order (q capped at the set's size in up_to mode).
-
-    A target set that passes `_rounds_pass`, or else has a critical length
-    (a subset DP, 2^|X| |X| steps), isolates every ordering in full and
-    passes for every q.  So does a set smaller than k inside an earlier
-    k-set that did (extend X's ordering by the rest of the k-set); it is
-    skipped while every k-set so far did, since a k-set that passes only
-    its ordering walk (q < k) vouches for none of its subsets.  Only a
-    failing set has its orderings walked, in lexicographic order, so the
-    verdict is the smallest failing instance (X sorted, then the order).
-    """
-    cols, walk = _walk(selector, k, "kq_permutation", q, size_mode, budget)
-    k_sets_full = True  # every k-set so far isolated all its orderings
-    for x_tuple in walk:
-        if k_sets_full and _in_earlier_k_set(x_tuple, k):
-            continue
-        iso = _isolation_times(cols, x_tuple)
-        if _rounds_pass(iso) or _critical_length(iso) is not None:
-            continue
-        if len(x_tuple) == k:
-            k_sets_full = False
-        need = min(q, len(x_tuple))
-        labels = [x for _, x in _trace_events(x_tuple, iso)]
-        for order in permutations(x_tuple):
-            if _ordered_count(labels, order) < need:
-                return Verdict(ok=False, x_set=x_tuple, order=order)
-    return OK
+    (X, x)."""
+    return _verify_walk(selector, k, "strong", None, size_mode, budget)
 
 
 def verify_permutation_selector(selector: Selector, k: int, size_mode: str, budget: int) -> Verdict:
     """`verify`'s body for "permutation": every ordering of every target set
-    is isolated in order, the (k, q)-permutation check at q = k."""
-    return _verify_ordered(selector, k, k, size_mode, budget)
+    is isolated in order."""
+    return _verify_walk(selector, k, "permutation", None, size_mode, budget)
 
 
 def verify_kq_selector(selector: Selector, k: int, q: int, size_mode: str, budget: int) -> Verdict:
     """`verify`'s body for "kq": at least q distinct elements of every target
     set are isolated (all of a set smaller than q, possible in up_to mode)."""
-    cols, walk = _walk(selector, k, "kq", q, size_mode, budget)
-    for x_tuple in walk:
-        iso = _isolation_times(cols, x_tuple)
-        if len(iso) - iso.count(0) < min(q, len(x_tuple)):
-            return Verdict(ok=False, x_set=x_tuple)
-    return OK
+    return _verify_walk(selector, k, "kq", q, size_mode, budget)
 
 
 def verify_kq_permutation_selector(selector: Selector, k: int, q: int, size_mode: str,
                                    budget: int) -> Verdict:
     """`verify`'s body for "kq_permutation": some q elements of every ordering
     are isolated in that order (q capped at the set's size in up_to mode)."""
-    return _verify_ordered(selector, k, q, size_mode, budget)
+    return _verify_walk(selector, k, "kq_permutation", q, size_mode, budget)
 
 
 def check_target(target: str, q: Optional[int]) -> Optional[int]:

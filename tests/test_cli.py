@@ -229,7 +229,10 @@ def test_k_outside_1_to_n_gives_one_message(tmp_path, capsys, command, extra, k,
     ("minsize", "-k", "2", "-N", "4", "--seed", "-1"),
     # Five nodes with p=0.5 reach no selector phase, which once let the seed pass.
     ("simulate", "--random", "5", "0.5", "1", "--auto", "--seed", "-1"),
-], ids=["gen", "minsize", "simulate-auto"])
+    # These two seeds reach numpy without a BuildConfig.
+    ("prob", "--ell", "6", "-k", "4", "--trials", "10", "--seed", "-1"),
+    ("simulate", "--random", "5", "0.5", "-1", "--auto"),
+], ids=["gen", "minsize", "simulate-auto", "prob-trials", "simulate-random"])
 def test_a_negative_seed_is_refused_before_any_output(tmp_path, capsys, monkeypatch, argv):
     def no_draw(*args, **kwargs):
         raise AssertionError("random_selector called")

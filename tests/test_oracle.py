@@ -281,6 +281,33 @@ def test_passing_certify_sized_selectors_match_per_set_oracle(seed):
     assert assert_same_as_per_set(selector, 4, modes=("up_to",), qs=qs) == {True}
 
 
+# (k, N, m) of random_selector draws; over seeds 0-3 each target pair both
+# passes and fails somewhere on the grid.
+IDENTITY_DRAWS = [(2, 5, 6), (2, 6, 12), (3, 7, 40), (4, 8, 60), (3, 8, 90)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k,n,m", IDENTITY_DRAWS)
+def test_q_eq_k_targets_give_the_full_targets_verdicts(k, n, m, seed):
+    # Strong is kq at q = k, and permutation is kq_permutation at q = k;
+    # only strong names the element it found missing.
+    selector = random_selector(k, n, m, seed)
+    for mode in ("exact", "up_to"):
+        strong = verify(selector, k, "strong", size_mode=mode)
+        kq = verify(selector, k, "kq", k, mode)
+        assert (kq.ok, kq.x_set, kq.element) == (strong.ok, strong.x_set, None)
+        assert strong.ok or strong.element in strong.x_set
+        assert (verify(selector, k, "permutation", size_mode=mode)
+                == verify(selector, k, "kq_permutation", k, mode))
+
+
+def test_identity_draws_cover_pass_and_fail():
+    for target in ("strong", "permutation"):
+        assert {verify(random_selector(k, n, m, seed), k, target, size_mode=mode).ok
+                for k, n, m in IDENTITY_DRAWS for seed in range(4)
+                for mode in ("exact", "up_to")} == {True, False}
+
+
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_verifiers_match_per_set_oracle_random(n, data):

@@ -212,6 +212,30 @@ def test_up_to_skip_waits_for_k_sets_that_pass_in_full():
     assert v == Verdict(False, (1,), order=(1,))
 
 
+def test_kq_up_to_skip_waits_for_k_sets_that_pass_in_full():
+    # The same gate for kq: (0,1) isolates only 0, so it passes q=1 by its
+    # count alone and vouches nothing for (1,); an ungated skip would
+    # report (1,2).
+    v = verify(Selector(3, (frozenset({0}),)), 2, "kq", 1, "up_to")
+    assert v == Verdict(False, (1,))
+
+
+def test_kq_up_to_walks_as_few_target_sets_as_strong(monkeypatch):
+    # On a selector whose k-sets all pass in full, every set below k with
+    # max(X) >= k - 1 is skipped: 495 4-sets plus the 7 smaller sets inside
+    # {0, 1, 2}, of the 793 target sets of N=12 up to k=4.
+    s = random_selector(4, 12, 180, 0)
+    calls = Counter()
+    monkeypatch.setattr(selectors, "_isolation_times",
+                        counting("iso", selectors._isolation_times, calls))
+    walked = {}
+    for target in ("strong", "kq"):
+        calls.clear()
+        assert verify(s, 4, target, 2, "up_to").ok
+        walked[target] = calls["iso"]
+    assert walked == {"strong": 502, "kq": 502}
+
+
 def test_kq_permutation_rejects_bad_q():
     with pytest.raises(ValueError):
         verify(singleton_selector(3), 2, "kq_permutation", 3)
