@@ -156,12 +156,25 @@ def cmd_minsize(args) -> int:
     return EXIT_OK
 
 
+_RANDOM_FIELDS = (("N", int, "an integer"), ("P", float, "a number"), ("SEED", int, "an integer"))
+
+
+def _random_request(words) -> list:
+    """--random's N, P and SEED, each refused by name when it does not parse."""
+    fields = []
+    for (name, kind, what), word in zip(_RANDOM_FIELDS, words):
+        try:
+            fields.append(kind(word))
+        except ValueError:
+            raise ValueError(f"--random {name} must be {what}, not {word!r}") from None
+    return fields
+
+
 def cmd_simulate(args) -> int:
     if args.network is not None:
         network = _read("network", radio.load_network, args.network)
     else:
-        n, p, seed = args.random
-        network = radio.random_strongly_connected(int(n), float(p), int(seed))
+        network = radio.random_strongly_connected(*_random_request(args.random))
     if args.selector is not None:
         loaded, _ = _read("selector", selectors.load_selector, args.selector)
         # Checked here too, so a bad file exits 2 even when the run never

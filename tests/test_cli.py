@@ -165,6 +165,15 @@ def test_parser_is_built_once_and_each_parse_starts_afresh():
     assert (first.seed, first.q) == (9, 1) and (again.seed, again.q) == (0, None)
 
 
+@pytest.mark.parametrize("command", ["gen", "verify", "prob", "bound", "minsize", "simulate",
+                                     "sweep"])
+def test_each_command_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: permsel {command} ")
+
+
 # ---------------------------------------------------------------------------
 # the request gen builds and minsize minimises
 # ---------------------------------------------------------------------------
@@ -517,7 +526,11 @@ def test_simulate_ignores_self_loops(tmp_path, capsys, kappa):
     (("--random", "5", "1.5", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
     (("--random", "5", "-0.1", "1"), "error: extra_edge_prob must be in [0, 1]\n"),
     (("--random", "0", "0.5", "1"), "error: a network needs at least 1 node, got 0\n"),
-], ids=["blank-file", "p-above-1", "p-below-0", "n-zero"])
+    (("--random", "2.5", "0.5", "1"), "error: --random N must be an integer, not '2.5'\n"),
+    (("--random", "5", "abc", "1"), "error: --random P must be a number, not 'abc'\n"),
+    (("--random", "3", "0.5", "1.5"), "error: --random SEED must be an integer, not '1.5'\n"),
+], ids=["blank-file", "p-above-1", "p-below-0", "n-zero", "n-not-int", "p-not-float",
+        "seed-not-int"])
 def test_simulate_refuses_a_bad_network_request(tmp_path, capsys, argv, err):
     blank = tmp_path / "blank.net"
     blank.write_text("\n", encoding="utf-8")

@@ -10,13 +10,15 @@ key, chunks of one row, PCG64 constant tables built per power-of-two size
 class in any order, and draws that borrow a prefix.
 """
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from oracles import draw_per_set
 from permsel import build
 from permsel.build import random_selector
-from permsel.selectors import Selector
+from permsel.selectors import Selector, selector_to_text
 
 # Six- and seven-word seeds pin the four hash steps per word past the fourth.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890,
@@ -72,6 +74,14 @@ def test_affine_table_grows_to_match_per_set_oracle(sizes):
 def test_draw_spanning_default_chunks_matches_per_set_oracle():
     # 682 rows of 12 labels per chunk: 1500 sets end inside the third chunk.
     assert random_selector(4, 12, 1500, 5) == per_set(4, 12, 1500, 5)
+
+
+def test_draw_above_every_benchmark_universe_is_pinned():
+    # The oracle moves with numpy; this sha does not.  N=1000 is past every
+    # benchmark universe and reads a PCG64 table of the 1024 size class.
+    text = selector_to_text(random_selector(3, 1000, 40, 11), 3)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "8f340fdde63a612b36df65d38b024bbdc3b15e5289a67de3e06163a640c6bb04")
 
 
 @pytest.mark.parametrize("m2", [0, 1, 5, 9])

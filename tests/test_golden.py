@@ -1,5 +1,9 @@
 """Golden outputs of the CLI for fixed seeds.
 
+This file is the one home of the CLI's golden value pins; CI's console step
+pins no value, it only checks that the installed entry points start and
+pass main's exit code through.
+
 Each expected value below was captured once and is stored inline (stdout
 verbatim, files and texts as sha256), so a refactor that changes any byte of
 a selector file, a counterexample line, a gossip trace, a sweep CSV or a
@@ -27,33 +31,49 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# A short selector over N=6 (k=3) that fails every target in both modes,
-# each with a different smallest counterexample.
-SHORT_SELECTOR = "6 3 5\n0 1\n3 5\n0\n0 3 4\n2 4 5\n"
+# Each selector file, as its text and the -q it is verified with.
+# SHORT (N=6, k=3) fails every target in both modes, each with a different
+# smallest counterexample; ONE_SET, the set {0} over N=3 (k=2), fails each
+# target under up_to with its own.
+SHORT = ("6 3 5\n0 1\n3 5\n0\n0 3 4\n2 4 5\n", 2)
+ONE_SET = ("3 2 1\n0\n", 1)
 
 VERIFY_GOLDEN = {
-    ("strong", "exact"): (1, "FAIL X={0,1,2} x=1\n"),
-    ("strong", "up_to"): (1, "FAIL X={0,1} x=1\n"),
-    ("permutation", "exact"): (1, "FAIL X={0,1,2} pi=(0,1,2)\n"),
-    ("permutation", "up_to"): (1, "FAIL X={0,1} pi=(0,1)\n"),
-    ("kq", "exact"): (1, "FAIL X={0,2,4}\n"),
-    ("kq", "up_to"): (1, "FAIL X={0,1}\n"),
-    ("kq_permutation", "exact"): (1, "FAIL X={0,1,2} pi=(1,2,0)\n"),
-    ("kq_permutation", "up_to"): (1, "FAIL X={0,1} pi=(0,1)\n"),
+    ("strong", "exact"): {SHORT: (1, "FAIL X={0,1,2} x=1\n")},
+    ("strong", "up_to"): {SHORT: (1, "FAIL X={0,1} x=1\n"),
+                          ONE_SET: (1, "FAIL X={0,1} x=1\n")},
+    ("permutation", "exact"): {SHORT: (1, "FAIL X={0,1,2} pi=(0,1,2)\n")},
+    ("permutation", "up_to"): {SHORT: (1, "FAIL X={0,1} pi=(0,1)\n"),
+                               ONE_SET: (1, "FAIL X={0,1} pi=(0,1)\n")},
+    ("kq", "exact"): {SHORT: (1, "FAIL X={0,2,4}\n")},
+    ("kq", "up_to"): {SHORT: (1, "FAIL X={0,1}\n"),
+                      ONE_SET: (1, "FAIL X={1}\n")},
+    ("kq_permutation", "exact"): {SHORT: (1, "FAIL X={0,1,2} pi=(1,2,0)\n")},
+    ("kq_permutation", "up_to"): {SHORT: (1, "FAIL X={0,1} pi=(0,1)\n"),
+                                  ONE_SET: (1, "FAIL X={1} pi=(1)\n")},
 }
 
 
 def test_golden_gen_selector_file(tmp_path, capsys):
-    out_file = tmp_path / "gen.sel"
-    code, out, _ = run(capsys, "gen", "-k", 3, "-N", 7, "--mode", "up_to", "--seed", 11,
-                       "-m", 40, "-o", out_file)
-    assert code == 0
-    assert out == (
-        "gamma=0.44444444444444453 delta=0.4375000000000001 alpha=0.9583571886519542 "
-        "beta=0.9583571886519542 c=188.5 m=4763\n"
-        f"attempts=12 m=40 out={out_file}\n"
-    )
-    assert sha256(out_file) == "414e597a9dff11ddfeeefeb272470a1bdba4253d6c622e02369160312c8ab3e1"
+    # A k=3 draw that passes on attempt 12, then the benchmark's certify
+    # draw, which passes all four targets under up_to.
+    for name, argv, report, file_sha in [
+        ("gen", ("-k", 3, "-N", 7, "--mode", "up_to", "--seed", 11, "-m", 40),
+         "gamma=0.44444444444444453 delta=0.4375000000000001 alpha=0.9583571886519542 "
+         "beta=0.9583571886519542 c=188.5 m=4763\nattempts=12 m=40",
+         "414e597a9dff11ddfeeefeb272470a1bdba4253d6c622e02369160312c8ab3e1"),
+        ("certify", ("-k", 4, "-N", 12, "-m", 180, "--seed", 3),
+         "gamma=0.421875 delta=0.40740740740740744 alpha=0.965594240333628 "
+         "beta=0.965594240333628 c=235.25 m=13494\nattempts=1 m=180",
+         "b38021a5a9e869241a63ae71982d92a0b1763a70c0cf7a6106526bd15de22063"),
+    ]:
+        out_file = tmp_path / f"{name}.sel"
+        code, out, _ = run(capsys, "gen", *argv, "-o", out_file)
+        assert (code, out) == (0, f"{report} out={out_file}\n"), name
+        assert sha256(out_file) == file_sha, name
+    for target in [("strong",), ("kq", "-q", 2), ("permutation",), ("kq_permutation", "-q", 2)]:
+        code, out, _ = run(capsys, "verify", out_file, "--target", *target, "--mode", "up_to")
+        assert (code, out) == (0, "OK\n"), target
 
 
 def test_golden_gen_default_seed_and_attempts(tmp_path, capsys):
@@ -95,16 +115,20 @@ def test_golden_build_config_defaults():
 
 @pytest.mark.parametrize("target,mode", sorted(VERIFY_GOLDEN))
 def test_golden_verify_counterexamples(tmp_path, capsys, target, mode):
-    sel = tmp_path / "short.sel"
-    sel.write_text(SHORT_SELECTOR, encoding="utf-8")
-    code, out, _ = run(capsys, "verify", sel, "--target", target, "--mode", mode, "-q", 2)
-    assert (code, out) == VERIFY_GOLDEN[target, mode]
+    sel = tmp_path / "golden.sel"
+    for (text, q), expected in VERIFY_GOLDEN[target, mode].items():
+        sel.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", sel, "--target", target, "--mode", mode, "-q", q)
+        assert (code, out) == expected, text
 
 
 def test_golden_minsize(capsys):
-    code, out, _ = run(capsys, "minsize", "-k", 2, "-N", 5, "--mode", "up_to",
-                       "--trials", 3, "--seed", 4)
-    assert (code, out) == (0, "minimal_m=16\n")
+    # The second request pins the galloping search, whose probes reuse each
+    # trial's sets.
+    for argv, m in [(("-k", 2, "-N", 5, "--mode", "up_to", "--trials", 3, "--seed", 4), 16),
+                    (("-k", 3, "-N", 10, "--trials", 5), 62)]:
+        code, out, _ = run(capsys, "minsize", *argv)
+        assert (code, out) == (0, f"minimal_m={m}\n"), argv
 
 
 def test_golden_minsize_default_seed_and_trials(capsys):
@@ -179,22 +203,37 @@ def test_golden_simulate_auto_selector_phase(tmp_path, capsys):
         assert sha256(trace) == trace_sha, seed_args
 
 
+# A selector over n=12 labels for kappa=8: set t of its 256 holds the x with
+# t^2 + 3xt + x^2 + 5t divisible by kappa.
+FORMULA_SELECTOR = "12 8 256\n" + "".join(
+    " ".join(str(x) for x in range(12) if (t * t + 3 * x * t + x * x + 5 * t) % 8 == 0) + "\n"
+    for t in range(256))
+
+# The one-way cycle of `--random 12 0.0 0` with every edge also reversed.
+TWO_WAY_RING = ("12\n0: 3 11\n1: 8 9\n2: 7 9\n3: 0 6\n4: 5 7\n5: 4 11\n6: 3 10\n7: 2 4\n"
+                "8: 1 10\n9: 1 2\n10: 6 8\n11: 0 5\n")
+
+
 def test_golden_simulate_selector_trace(tmp_path, capsys):
-    # A one-way cycle with a large kappa runs all three phases: the
-    # round-robin pass, Disperse, and selector rounds.
-    n, kappa, m = 12, 8, 256
-    sets = [[x for x in range(n) if (t * t + 3 * x * t + x * x + 5 * t) % kappa == 0]
-            for t in range(m)]
+    # With a large kappa, the one-way cycle runs all three phases: the
+    # round-robin pass, Disperse, and selector rounds.  On the two-way ring
+    # the selector rounds collide, and receivers transmit in them, which the
+    # one-way cycle's never do.
     sel = tmp_path / "formula.sel"
-    sel.write_text(f"{n} {kappa} {m}\n" + "".join(" ".join(map(str, s)) + "\n" for s in sets),
-                   encoding="utf-8")
+    sel.write_text(FORMULA_SELECTOR, encoding="utf-8")
+    ring = tmp_path / "ring12.net"
+    ring.write_text(TWO_WAY_RING, encoding="utf-8")
     trace = tmp_path / "selector.trace"
-    code, out, _ = run(capsys, "simulate", "--random", n, 0.0, 0, "--selector", sel,
-                       "--kappa", kappa, "--trace", trace)
-    assert code == 0
-    assert out == ("kappa=8\nrounds_total=818 rounds_selector=512 rounds_disperse=282 "
-                   "rounds_rr=24\naudit=pass\n")
-    assert sha256(trace) == "ae3c28ee40c15c449c2d400a28fee22cd4c36aab1d9f2857c9d99535a458002f"
+    for source, rounds, trace_sha in [
+        (("--random", 12, 0.0, 0), "rounds_total=818 rounds_selector=512 rounds_disperse=282",
+         "ae3c28ee40c15c449c2d400a28fee22cd4c36aab1d9f2857c9d99535a458002f"),
+        (("--network", ring), "rounds_total=716 rounds_selector=512 rounds_disperse=180",
+         "1d5a2567d6019601bc3650cbe25839ea5369a62e1b92215cc161b6e8fe5dbaad"),
+    ]:
+        code, out, _ = run(capsys, "simulate", *source, "--selector", sel, "--kappa", 8,
+                           "--trace", trace)
+        assert (code, out) == (0, f"kappa=8\n{rounds} rounds_rr=24\naudit=pass\n"), source
+        assert sha256(trace) == trace_sha, source
 
 
 def test_golden_sweep_jump_csv(tmp_path, capsys):
