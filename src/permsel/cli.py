@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -117,6 +118,21 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause automatic cyclic garbage collection, and restore the caller's
+    setting after: `main` also runs in-process.  No command leaves cyclic
+    garbage (`tests/test_gc.py`), yet a gossip run's thousands of records
+    would have the collector traverse them again and again."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def cmd_prob(args) -> int:
     # Every line is built before any is printed, so a refused Monte-Carlo
     # request leaves no partial output behind.
@@ -171,6 +187,10 @@ def _random_request(words) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if not args.auto:
+        for flag, value in (("-m", args.m), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --auto")
     if args.network is not None:
         network = _read("network", radio.load_network, args.network)
     else:
@@ -183,7 +203,7 @@ def cmd_simulate(args) -> int:
         provider = lambda k, n: loaded
     else:
         config = build.BuildConfig(
-            seed=args.seed,
+            seed=0 if args.seed is None else args.seed,
             m_override=args.m,
             size_mode="up_to",
             target="permutation",
@@ -286,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--auto", action="store_true",
                      help="build a verified (kappa,n)-permutation selector")
     p.add_argument("-m", type=int, default=None, help="length override for --auto")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="build seed for --auto (default 0)")
     p.add_argument("--trace", default=None, help="write the round-by-round trace here")
     p.set_defaults(func=cmd_simulate)
 
@@ -304,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _gc_paused():
+            return args.func(args)
     except (OSError, ValueError, BudgetExceededError, NotStronglyConnectedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -637,6 +637,14 @@ def test_simulate_names_the_input_it_cannot_read(tmp_path, capsys, what, text):
     assert err.startswith(f"error: cannot read {what}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", [("-m", "5"), ("--seed", "0")], ids=["m", "seed"])
+def test_simulate_refuses_an_auto_flag_without_auto(tmp_path, capsys, flag):
+    # Neither file exists: the flag is refused before any file is read.
+    code, out, err = run(capsys, "simulate", "--network", str(tmp_path / "c.net"),
+                         "--selector", str(tmp_path / "s.sel"), "--kappa", "2", *flag)
+    assert (code, out, err) == (2, "", f"error: {flag[0]} applies only with --auto\n")
+
+
 def test_simulate_deterministic_trace(tmp_path, capsys):
     t1, t2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for t in (t1, t2):
