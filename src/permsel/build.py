@@ -94,7 +94,6 @@ def substream_seed(seed: int, j: int) -> int:
 # numpy is imported by the functions that draw, so commands that never draw
 # start without it.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _SS_INIT_A = 0x43B0D7E5
 _SS_MULT_A = 0x931E8875
@@ -104,14 +103,8 @@ _SS_MIX_L = 0xCA01F9DD
 _SS_MIX_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # A chunk of the draw holds _DRAW_CHUNK // universe_size sets (at least one),
-# so its (set, label) grid stays about this size.
+# so its (set, label) grid of raw outputs stays about this size.
 _DRAW_CHUNK = 1 << 13
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def _hash_constants(init: int, mult: int, first: int, count: int):
@@ -124,13 +117,14 @@ def _hash_constants(init: int, mult: int, first: int, count: int):
 
 @functools.cache
 def _constants():
-    """The uint64 mask of a low 32-bit half and the uint64 shift of 32, then
-    generate_state's hash constants before and after its eight steps.  Step
-    i hashes pool word i % 4, so they come as two rows of four, one per pass."""
-    import numpy as np
-    return (np.uint64(_MASK32), np.uint64(32),
-            *_frozen(*(_hash_constants(_SS_INIT_B, _SS_MULT_B, first, 8).reshape(2, 4)
-                       for first in (0, 1))))
+    """generate_state's hash constants before and after its eight steps,
+    read-only.  Step i hashes pool word i % 4, so they come as two rows of
+    four, one per pass."""
+    arrays = tuple(_hash_constants(_SS_INIT_B, _SS_MULT_B, first, 8).reshape(2, 4)
+                   for first in (0, 1))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _seed_pool(seed: int):
@@ -149,55 +143,25 @@ def _seed_pool(seed: int):
     return pool * np.uint32(_SS_MIX_L), hash_consts[:4], hash_consts[1:]
 
 
-def _mulhi64(a0, a1, b0, b1):
-    """High 64 bits of a*b, from the 32-bit halves a = a1:a0 and b = b1:b0."""
-    lo32, shift32 = _constants()[:2]
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> shift32) + (p01 & lo32) + (p10 & lo32)
-    return p11 + (p01 >> shift32) + (p10 >> shift32) + (mid >> shift32)
-
-
-@functools.cache
-def _pcg_table(size: int):
-    """The state behind draw j = 1..size of a PCG64 seeded with (s, initseq).
-
-    Seeding sets state = (inc + s) * M + inc with inc = 2 initseq + 1, and
-    each draw steps state = state * M + inc before it outputs, so draw j
-    reads P_j s + Q_j inc with P_j = M^(j+1) and Q_j = M^(j+1) + ... + M + 1
-    (mod 2^128): P_j = M P_(j-1) and Q_j = M Q_(j-1) + 1 from P_0 = M and
-    Q_0 = M + 1.  Returns, over j on the last axis and (P, Q) on the first,
-    the low and high 64-bit halves and the low half's two 32-bit halves.
-    """
-    import numpy as np
-    lo32, shift32 = _constants()[:2]
-    p, q, terms = _PCG_MULT, _PCG_MULT + 1, ([], [])
-    for _ in range(size):
-        p = p * _PCG_MULT & _MASK128
-        q = (q * _PCG_MULT + 1) & _MASK128
-        terms[0].append(p)
-        terms[1].append(q)
-    lo = np.array([[x & _MASK64 for x in row] for row in terms], np.uint64).reshape(2, 1, size)
-    hi = np.array([[x >> 64 for x in row] for row in terms], np.uint64).reshape(2, 1, size)
-    return _frozen(lo, hi, lo & lo32, lo >> shift32)
-
-
 def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[frozenset]:
     """Sets t0..t1-1 of random_selector(k, universe_size, m, seed), t1 <= 2^32.
 
     Each set t is the labels x with Generator(PCG64(SeedSequence(seed,
     spawn_key=(t,)))).random(universe_size)[x] < 1/k.  The SeedSequence
-    steps that read t run as uint32 array operations over t; the PCG64 states
-    are the affine grid of `_pcg_table`, in 64-bit halves, read from the
-    table of the next power of two >= N, so a process builds one table per
-    size class; a draw is XSL-RR's output, and (output >> 11) * 2^-53 < 1/k
-    is the integer test (output >> 11) < ceil(2^53 * (1/k)).
+    steps that read t run as uint32 array operations over t; each set's
+    PCG64 state is then written into one bit generator, whose raw outputs
+    are the set's draws, and (output >> 11) * 2^-53 < 1/k is the integer
+    test (output >> 11) < ceil(2^53 * (1/k)).
     """
     import numpy as np
     n = universe_size
-    lo32, shift32, gen_before, gen_after = _constants()
+    gen_before, gen_after = _constants()
     threshold = np.uint64(math.ceil(1.0 / k * 2.0**53))
     pool, hash_before, hash_after = _seed_pool(seed)
-    y_lo, y_hi, y_lo0, y_lo1 = (a[..., :n] for a in _pcg_table(1 << (n - 1).bit_length()))
+    # A fixed seed: every state it starts from is overwritten before a draw.
+    bits = np.random.PCG64(0)
+    state = bits.state
+    pcg = state["state"]
     rows = max(1, _DRAW_CHUNK // max(n, 1))
     sets: list[frozenset] = []
     for a in range(t0, t1, rows):
@@ -211,26 +175,17 @@ def _draw_sets(k: int, universe_size: int, seed: int, t0: int, t1: int) -> list[
         w = (v[:, None, :] ^ gen_before) * gen_after
         w ^= w >> np.uint32(16)
         w = w.reshape(b - a, 8).astype(np.uint64)
-        words = w[:, 0::2] | (w[:, 1::2] << shift32)
+        words = (w[:, 0::2] | (w[:, 1::2] << np.uint64(32))).tolist()
+        raw = []
         # PCG64 seeds with s = words[0]:words[1] (high:low) and initseq =
-        # words[2]:words[3], whose inc = 2 initseq + 1 overwrites it.
-        carry = words[:, 3] >> np.uint64(63)
-        words[:, 2:] <<= np.uint64(1)
-        words[:, 2] |= carry
-        words[:, 3] |= np.uint64(1)
-        # (s, inc) on the first axis, rows on the second.
-        x_hi, x_lo = words.T[0::2, :, None], words.T[1::2, :, None]
-        lo = x_lo * y_lo
-        state_lo = lo[0] + lo[1]
-        hi = x_hi * y_lo
-        hi += x_lo * y_hi
-        hi += _mulhi64(x_lo & lo32, x_lo >> shift32, y_lo0, y_lo1)
-        state_hi = hi[0] + hi[1] + (state_lo < lo[0])
-        # XSL-RR: rotate hi ^ lo right by the state's top six bits.
-        rot = state_hi >> np.uint64(58)
-        out = state_hi ^ state_lo
-        out = (out >> rot) | ((out << np.uint64(1)) << (rot ^ np.uint64(63)))
-        hits = np.flatnonzero((out >> np.uint64(11)) < threshold)
+        # words[2]:words[3]: inc = 2 initseq + 1, state = (inc + s) M + inc.
+        for s0, s1, i0, i1 in words:
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bits.state = state
+            raw.append(bits.random_raw(n))
+        hits = np.flatnonzero((np.concatenate(raw) >> np.uint64(11)) < threshold)
         labels = (hits % n).tolist()
         # Set a + r's hits end before flat index (r + 1) * n.
         start = 0
@@ -250,7 +205,7 @@ def random_selector(k: int, universe_size: int, m: int, seed: int,
     .random(universe_size)[x] < 1/k.  So the length-m selector for a seed is
     a prefix of the length-(m+1) one.  prefix, an earlier draw of the same
     (k, universe_size, seed), lends its first min(m, len(prefix)) sets; only
-    the sets after them are drawn, all in one vectorised pass.
+    the sets after them are drawn (`_draw_sets`).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -262,7 +217,7 @@ def random_selector(k: int, universe_size: int, m: int, seed: int,
         raise ValueError("m must be at most 2**32")
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
+        raise ValueError(f"seed must be non-negative, not {seed}")
     sets = list(prefix.sets[:m]) if prefix is not None else []
     if len(sets) < m:
         sets += _draw_sets(k, universe_size, seed, len(sets), m)

@@ -250,13 +250,19 @@ def _charge(universe_size: int, length: int, k: int, target: str, q: Optional[in
     (see `_instances`) and charge it against the budget, raising before any
     set is drawn or enumerated.
 
-    The charge is (instances) * max(length, 1).
+    The charge is (instances) * max(length, 1).  One of more than 20
+    digits is printed to three significant digits, so none is too long.
     """
     instances = _instances(universe_size, k, target, q, size_mode, budget)
     cost = instances * max(length, 1)
     if cost > budget:
+        if cost < 10**20:
+            shown = str(cost)
+        else:
+            from decimal import Decimal
+            shown = f"{Decimal(cost):.2e}"
         raise BudgetExceededError(
-            f"verification needs ~{cost} primitive isolation checks, budget is {budget}"
+            f"verification needs ~{shown} primitive isolation checks, budget is {budget}"
         )
 
 

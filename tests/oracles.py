@@ -5,7 +5,7 @@ them: the enumeration oracle of the coupon probabilities, the simulated
 isolation-count tail, the isolation test of one set written from the
 definition, the word-by-word selector parse that the parse converting each
 distinct word once must match, the per-set draw loop that
-`random_selector`'s one-pass kernel reproduces bit for bit, the active-path
+`random_selector`'s chunked draw reproduces bit for bit, the active-path
 DFS of the quasi-gossip analysis, an independent copy of the collision
 rule that audits a recorded run, and the earlier resolve-and-format body
 of `radio.step` that a set's stored outcome is checked against.

@@ -80,10 +80,9 @@ def test_smallest_c_near_zero_beta():
 @pytest.mark.parametrize("call,message", [
     (lambda: random_selector(0, 4, 3, seed=0), "k must be at least 1"),
     (lambda: random_selector(2, 4, -1, seed=0), "m must be non-negative"),
-    # A set index is one 32-bit spawn-key word; numpy's own refusal of a
-    # negative seed is kept.
+    # A set index is one 32-bit spawn-key word.
     (lambda: random_selector(2, 4, 2**32 + 1, seed=0), "m must be at most 2**32"),
-    (lambda: random_selector(2, 4, 3, seed=-1), "expected non-negative integer"),
+    (lambda: random_selector(2, 4, 3, seed=-1), "seed must be non-negative, not -1"),
     (lambda: BuildConfig(seed=-1), "seed must be non-negative, not -1"),
     (lambda: smallest_c(0.999), "no c on the grid satisfies c*beta^c < 1/16 for beta=0.999"),
     (lambda: smallest_c(0.0), "beta must be in (0, 1)"),

@@ -143,6 +143,19 @@ def test_verify_huge_universe_is_refused_by_the_budget(tmp_path):
                             "isolation checks, budget is 100000000\n")
 
 
+def test_verify_charge_past_the_int_to_str_limit_is_rounded(tmp_path, capsys, monkeypatch):
+    # C(3000, 1500) target sets: a charge of 5,016 digits, past the
+    # int-to-str limit that the parsers keep, so it prints rounded.
+    f = tmp_path / "big.sel"
+    f.write_text("3000 1500 1\n0\n", encoding="utf-8")
+    monkeypatch.delenv("PERMSEL_BUDGET", raising=False)
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "verify", str(f), "--mode", "up_to") == (
+        2, "", "error: verification needs ~8.63e+5015 primitive isolation checks, "
+        "budget is 100000000\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("raw,err", [
     ("abc", "error: PERMSEL_BUDGET must be a non-negative integer, not 'abc'\n"),
     ("-1", "error: PERMSEL_BUDGET must be a non-negative integer, not '-1'\n"),
@@ -462,10 +475,9 @@ def test_simulate_auto_refuses_over_budget_before_drawing(capsys, monkeypatch):
         raise AssertionError("random_selector called")
 
     monkeypatch.setattr(build, "random_selector", no_draw)
-    code, out, err = run(capsys, "simulate", "--random", "300", "0.0", "1", "--auto")
-    assert code == 2 and out == ""
-    assert err.startswith("error: verification needs ~") and err.endswith(
-        " primitive isolation checks, budget is 100000000\n")
+    assert run(capsys, "simulate", "--random", "300", "0.0", "1", "--auto") == (
+        2, "", "error: verification needs ~4.55e+290 primitive isolation checks, "
+        "budget is 100000000\n")
 
 
 def test_simulate_rejects_weakly_connected(tmp_path, capsys):

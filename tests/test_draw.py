@@ -1,13 +1,14 @@
-"""random_selector's one-pass draw against the per-set numpy loop.
+"""random_selector's chunked draw against the per-set numpy loop.
 
-`build._draw_sets` recomputes numpy's SeedSequence and PCG64 for many sets
-at once; `oracles.draw_per_set` builds one generator per set, as
+`build._draw_sets` recomputes numpy's SeedSequence for many sets at once,
+then writes each set's PCG64 state into one numpy bit generator and reads
+its raw outputs; `oracles.draw_per_set` builds one generator per set, as
 random_selector did before.  Every set must come out the same: over seeds
 of one to seven 32-bit words (both sides of several word boundaries), every
 universe size up to 40 plus 250, 1000 and both sides of two powers of two,
 every k up to 12, ranges that start past 0 or end at the last one-word spawn
-key, chunks of one row, PCG64 constant tables built per power-of-two size
-class in any order, and draws that borrow a prefix.
+key, chunks of one row, universe sizes drawn in any order, and draws that
+borrow a prefix.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from permsel.selectors import Selector, selector_to_text
 # Six- and seven-word seeds pin the four hash steps per word past the fourth.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 3, 12345678901234567890,
          2**160, 2**224 - 1]
-# 255..257 and 1023..1025 straddle the edges of the PCG64 tables' size classes.
+# 255..257 and 1023..1025 straddle two powers of two.
 UNIVERSES = list(range(41)) + [250, 255, 256, 257, 1000, 1023, 1024, 1025]
 
 
@@ -57,16 +58,14 @@ def test_draw_chunks_match_per_set_oracle(monkeypatch, chunk, n):
 
 @pytest.mark.parametrize("sizes", [(1000,), (1, 2, 3, 7, 12, 40, 41, 250, 1000),
                                    (1000, 1, 2, 3, 7, 12, 40, 41, 250, 1000)])
-def test_affine_table_grows_to_match_per_set_oracle(sizes):
-    # From no table: one jump to N = 1000, growth in uneven steps, and small
-    # sizes read after the largest table is built.
-    build._pcg_table.cache_clear()
+def test_mixed_size_draws_match_per_set_oracle(sizes):
+    # From a fresh cache: one jump to N = 1000, growth in uneven steps, and
+    # small sizes drawn after the largest.
+    build._constants.cache_clear()
     for n in sizes:
         assert build._draw_sets(5, n, 3, 0, 3) == draw_per_set(5, n, 3, 0, 3), n
-    # One table per size class: the next power of two >= each N.
-    classes = {1 << (n - 1).bit_length() for n in sizes}
-    assert build._pcg_table.cache_info().currsize == len(classes)
-    for a in build._pcg_table(1024):
+    # The cached generate_state constants are shared by every draw.
+    for a in build._constants():
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 0
 
@@ -78,7 +77,7 @@ def test_draw_spanning_default_chunks_matches_per_set_oracle():
 
 def test_draw_above_every_benchmark_universe_is_pinned():
     # The oracle moves with numpy; this sha does not.  N=1000 is past every
-    # benchmark universe and reads a PCG64 table of the 1024 size class.
+    # benchmark universe.
     text = selector_to_text(random_selector(3, 1000, 40, 11), 3)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "8f340fdde63a612b36df65d38b024bbdc3b15e5289a67de3e06163a640c6bb04")
@@ -86,7 +85,7 @@ def test_draw_above_every_benchmark_universe_is_pinned():
 
 @pytest.mark.parametrize("m2", [0, 1, 5, 9])
 def test_draw_after_a_prefix_matches_per_set_oracle(m2):
-    # The lent sets come from the oracle; the kernel draws only the rest.
+    # The lent sets come from the oracle; `_draw_sets` draws only the rest.
     prefix = per_set(3, 10, m2, 9)
     for m in (0, 1, 5, 9, 12):
         assert random_selector(3, 10, m, 9, prefix=prefix) == per_set(3, 10, m, 9)

@@ -308,6 +308,16 @@ def test_budget_refusal_builds_no_columns(monkeypatch, target, cost):
         verify(s, 8, target, q=2, budget=cost)
 
 
+@pytest.mark.parametrize("length,shown", [(10**20 - 1, "99999999999999999999"),
+                                          (10**20, "1.00e+20")])
+def test_charge_of_more_than_20_digits_prints_rounded(length, shown):
+    # One strong instance (k = N = 1), so the charge is the length.
+    with pytest.raises(BudgetExceededError) as refused:
+        selectors._charge(1, length, 1, "strong", None, "exact", 0)
+    assert str(refused.value) == (
+        f"verification needs ~{shown} primitive isolation checks, budget is 0")
+
+
 @pytest.mark.parametrize("target", VERIFY_TARGETS)
 @pytest.mark.parametrize("mode", ["exact", "up_to"])
 @pytest.mark.parametrize("budget", [156, 1000, 3000, 10**8])
