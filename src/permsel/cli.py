@@ -221,15 +221,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     blocks = args.k if args.q is None else args.q
-    # p_jump_sweep checks every input before it computes a row.
-    exacts = coupon.p_jump_sweep(args.k, blocks, args.ell_min, args.ell_max)
+    # p_jump_rows checks every input before it computes a row.
+    rows = coupon.p_jump_rows(args.k, blocks, args.ell_min, args.ell_max)
     q_col = "" if args.q is None else str(args.q)
     lines = ["ell,k,q,exact_num,exact_den,bound"]
-    with _unlimited_int_digits():
-        for ell, exact in zip(range(args.ell_min, args.ell_max + 1), exacts):
-            bound = _bound(ell, blocks)
-            b_col = "" if bound is None else repr(bound)
-            lines.append(f"{ell},{args.k},{q_col},{exact.numerator},{exact.denominator},{b_col}")
+    for ell, (num, den) in zip(range(args.ell_min, args.ell_max + 1), rows):
+        bound = _bound(ell, blocks)
+        b_col = "" if bound is None else repr(bound)
+        lines.append(f"{ell},{args.k},{q_col},{num!s},{den!s},{b_col}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

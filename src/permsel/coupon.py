@@ -6,27 +6,31 @@ symbol from each of q consecutive equal blocks of the alphabet, in block
 order.  At q = k that is the plain pattern 0,1,...,k-1.  The closed form
 has a floating-point upper bound and a Monte-Carlo estimator.
 
-All exact values are `fractions.Fraction`s computed in integer arithmetic;
-floats appear only in the bounds and estimators.
+Mapping each letter to its block makes the word uniform over q letters and
+the jump pattern the plain pattern 0..q-1, so p_jump(ell, k, q) = p(ell, q).
+Over q letters let S(ell) count the words that miss the pattern (p = S/q^ell)
+and A(ell) = C(ell, q-1) (q-1)^(ell-q+1) the words at the last greedy stage,
+q-1.  Appending a letter keeps every missing word missing except a
+last-stage word followed by the letter q-1, so
 
-`p_jump_sweep` yields the exact values over a range of ell by a one-term
-recurrence instead of the q-term closed form.  With b = k/q, let T(ell)
-count the words that miss the pattern (so p = T / k^ell) and
-a(ell) = C(ell, q-1) b^(q-1) (k-b)^(ell-q+1) the words at the last greedy
-stage, q-1.  Appending a letter keeps every missing word missing except a
-last-stage word followed by one of the b letters of the last block, so
+    S(ell+1) = q S(ell) - A(ell),
+    A(ell+1) = A(ell) (q-1) (ell+1) / (ell+2-q)    (an exact division).
 
-    T(ell+1) = k T(ell) - b a(ell),
-    a(ell+1) = a(ell) (k-b) (ell+1) / (ell+2-q)    (an exact division),
-
-and a row costs O(1) big-integer operations.  The plain pattern is q = k;
-q = 1 has k - b = 0, so a and T vanish.  Note the bound base
-exp(-1/q) of the jump chain is unrelated to the isolation probability
-`isolation_gamma` below despite the notational similarity.
+`p_jump_rows` runs this recurrence on `decimal.Decimal` integers in a
+context that holds any integer and traps rounding: CPython's `str(int)`
+and `math.gcd` take time quadratic in the digits, libmpdec's products,
+exact divisions by a small int and `str()` linear time.  A row's common
+factor g = gcd(S, q^ell) needs remainders mod q^c only: if
+gcd(S, q^c) = gcd(S, q^2c), then v_p(S) <= c v_p(q) for every prime p of
+q, so g = gcd(S, q^c), and a row costs time linear in its digits.  Floats
+appear only in the bounds and estimators; the bound base exp(-1/q) of the
+jump chain is unrelated to the isolation probability `isolation_gamma`
+below despite the notational similarity.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +45,10 @@ from typing import Iterator
 # so estimates do not change.
 MC_CHUNK = 4096
 MC_MAX_ELEMENTS = 2**22
+
+# Holds every integer exactly; an operation that would round raises instead.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 
 
 def _validate_ell_k(ell: int, k: int) -> None:
@@ -71,7 +79,7 @@ def p_jump_exact(ell: int, k: int, q: int) -> Fraction:
     here and is served by `p_monte_carlo` only.
     """
     _validate_jump(ell, k, q)
-    return Fraction(_missing_words(ell, k, q), k**ell)
+    return Fraction(_missing_words(ell, q), q**ell)
 
 
 def _validate_jump(ell: int, k: int, q: int) -> None:
@@ -82,42 +90,58 @@ def _validate_jump(ell: int, k: int, q: int) -> None:
         raise ValueError(f"q={q} must divide k={k} for the exact formula")
 
 
-def _missing_words(ell: int, k: int, q: int) -> int:
-    """The closed form: words of length ell that miss the q-block pattern."""
-    b = k // q
+def _missing_words(ell: int, q: int) -> int:
+    """The closed form: words of length ell over q letters that miss 0..q-1."""
     # Terms with j > ell vanish (comb is 0); skipping them keeps the
     # arithmetic in plain integers.
-    return sum(comb(ell, j) * b**j * (k - b) ** (ell - j) for j in range(min(q, ell + 1)))
+    return sum(comb(ell, j) * (q - 1) ** (ell - j) for j in range(min(q, ell + 1)))
 
 
-def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
-    """p_jump_exact(ell, k, q) for ell = ell_min..ell_max, in order, by the
-    recurrence in the module docstring.
-
-    The inputs are checked here, before the first value is computed, and
-    an empty range is an error.
+def p_jump_rows(k: int, q: int, ell_min: int,
+                ell_max: int) -> Iterator[tuple[decimal.Decimal, decimal.Decimal]]:
+    """The numerator and denominator of p_jump_exact(ell, k, q) in lowest
+    terms, as decimal integers, for ell = ell_min..ell_max in order, by the
+    recurrence in the module docstring.  The inputs are checked here, before
+    the first row is computed, and an empty range is an error.
     """
     _validate_jump(ell_min, k, q)
     if ell_max < ell_min:
         raise ValueError(f"ell_max must be at least ell_min, got ell_min={ell_min}, "
                          f"ell_max={ell_max}")
-    return _sweep(k, q, ell_min, ell_max)
+    return _sweep(q, ell_min, ell_max)
 
 
-def _sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
-    b, rest = k // q, k - k // q
-    missing, words = _missing_words(ell_min, k, q), k**ell_min
+def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
+    """p_jump_exact(ell, k, q) for ell = ell_min..ell_max: `p_jump_rows`."""
+    return (Fraction(int(num), int(den)) for num, den in p_jump_rows(k, q, ell_min, ell_max))
+
+
+def _sweep(q: int, ell_min: int, ell_max: int) -> Iterator[tuple[decimal.Decimal, decimal.Decimal]]:
+    missing, words = decimal.Decimal(_missing_words(ell_min, q)), _EXACT.power(q, ell_min)
     # Words at the last greedy stage, q - 1; there are none while ell < q - 1.
-    last = 0
-    if ell_min >= q - 1:
-        last = comb(ell_min, q - 1) * b ** (q - 1) * rest ** (ell_min - q + 1)
+    last = decimal.Decimal(comb(ell_min, q - 1) * (q - 1) ** max(0, ell_min - q + 1))
     for ell in range(ell_min, ell_max + 1):
-        yield Fraction(missing, words)
-        missing, words = k * missing - b * last, words * k
+        if ell < q:  # the pattern cannot fit: p = 1
+            yield decimal.Decimal(1), decimal.Decimal(1)
+        else:
+            g = _common_factor(missing, q, ell)
+            yield _EXACT.divide_int(missing, g), _EXACT.divide_int(words, g)
+        missing, words = _EXACT.subtract(_EXACT.multiply(missing, q), last), _EXACT.multiply(words, q)
         if ell + 1 == q - 1:
-            last = b ** (q - 1)
+            last = decimal.Decimal(1)
         elif ell + 1 > q - 1:
-            last = last * rest * (ell + 1) // (ell + 2 - q)
+            last = _EXACT.divide_int(_EXACT.multiply(last, (q - 1) * (ell + 1)), ell + 2 - q)
+
+
+def _common_factor(missing: decimal.Decimal, q: int, ell: int) -> int:
+    """gcd(missing, q**ell) by the lemma of the module docstring, c = 1, 2, 4..."""
+    c = 1
+    while 2 * c < ell:
+        rest = int(_EXACT.remainder(missing, q ** (2 * c)))
+        if (g := math.gcd(rest, q**c)) == math.gcd(rest, q ** (2 * c)):
+            return g
+        c *= 2
+    return math.gcd(int(missing), q**ell)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +158,22 @@ def p_bound(ell: int, k: int) -> float:
 
 def p_jump_bound(ell: int, q: int) -> float:
     """The analytic upper bound exp(-ell/q) * (2 ell / q)^q on p_jump_exact,
-    for every k.  Past the float range it is math.inf, a vacuous but valid
-    upper bound.
+    for every k.  It is math.inf only where the bound itself is past the float
+    range, a vacuous but valid upper bound.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     if ell < q:
         raise ValueError(f"the bound needs ell >= q, got ell={ell}, q={q}")
+    # exp(-ell/q) loses digits below the smallest normal float, and (2 ell/q)^q
+    # can overflow where the bound is finite: there, the exp of the log.
     try:
-        return math.exp(-ell / q) * (2.0 * ell / q) ** q
+        if (decay := math.exp(-ell / q)) >= sys.float_info.min:
+            return decay * (2.0 * ell / q) ** q
+    except OverflowError:
+        pass
+    try:
+        return math.exp(q * math.log(2.0 * ell / q) - ell / q)
     except OverflowError:
         return math.inf
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 They are slow or exhaustive on purpose, and nothing in `permsel` calls
-them: the enumeration oracle of the coupon probabilities, the simulated
+them: the enumeration oracle of the coupon probabilities, their closed
+form over all k letters (the package computes over q), the simulated
 isolation-count tail, the isolation test of one set written from the
 definition, the word-by-word selector parse that the parse converting each
 distinct word once must match, the per-set draw loop that
@@ -53,6 +54,15 @@ def p_jump_bruteforce(ell: int, k: int, q: int, budget: int = DEFAULT_ENUM_BUDGE
     _validate_jump(ell, k, q)
     block_of = np.arange(k, dtype=np.int64) // (k // q)
     return Fraction(_count_missing(ell, k, block_of, q, budget), k**ell)
+
+
+def p_jump_closed_form(ell: int, k: int, q: int) -> Fraction:
+    """p_jump_exact by the closed form over all k letters, b = k/q to a block:
+    sum_{j<q} C(ell, j) b^j (k-b)^(ell-j) / k^ell."""
+    _validate_jump(ell, k, q)
+    b = k // q
+    return Fraction(sum(math.comb(ell, j) * b**j * (k - b) ** (ell - j)
+                        for j in range(min(q, ell + 1))), k**ell)
 
 
 def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 import os
 import resource
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import permsel
-from permsel import build, coupon, radio
+from permsel import build, cli, coupon, radio
 from permsel.cli import _ratio, build_parser, main
 from permsel.radio import Network, network_to_text, random_strongly_connected
 from permsel.selectors import load_selector, verify
@@ -330,6 +331,33 @@ def test_sweep_huge_exact_value_prints_in_full(capsys):
     assert (ell, k, q) == ("2600", "50", "") and len(den) > limit and float(bound) > 0
     [exact] = coupon.p_jump_sweep(50, 50, 2600, 2600)
     assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
+
+
+def test_sweep_prints_without_lifting_the_int_to_str_limit(capsys, monkeypatch):
+    # Rows are decimal integers, which str() prints whatever their length.
+    def refuse():
+        raise AssertionError("sweep lifted the int-to-str limit")
+    monkeypatch.setattr(cli, "_unlimited_int_digits", refuse)
+    code, out, err = run(capsys, "sweep", "-k", "50", "--ell-min", "2600", "--ell-max", "2600")
+    assert (code, err) == (0, "")
+    num, den = out.splitlines()[1].split(",")[3:5]
+    [exact] = coupon.p_jump_sweep(50, 50, 2600, 2600)
+    assert len(den) > sys.get_int_max_str_digits()
+    assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
+
+
+def test_prob_lifts_the_int_to_str_limit_and_restores_it(capsys, monkeypatch):
+    lifted, unlimited = [], cli._unlimited_int_digits
+
+    @contextlib.contextmanager
+    def spy():
+        with unlimited():
+            lifted.append(sys.get_int_max_str_digits())
+            yield
+    monkeypatch.setattr(cli, "_unlimited_int_digits", spy)
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "prob", "--ell", "20000", "-k", "50")[0] == 0
+    assert lifted == [0] and sys.get_int_max_str_digits() == limit
 
 
 def test_prob_ratio_when_exact_value_underflows_a_float(capsys):

@@ -1,3 +1,5 @@
+import decimal
+from decimal import Decimal
 import math
 from fractions import Fraction
 from itertools import product
@@ -7,10 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DEFAULT_ENUM_BUDGET, chernoff_tail_empirical, p_jump_bruteforce
+from oracles import (DEFAULT_ENUM_BUDGET, chernoff_tail_empirical, p_jump_bruteforce,
+                     p_jump_closed_form)
 from permsel import coupon
 from permsel.coupon import (
     MC_CHUNK,
@@ -162,6 +165,37 @@ def test_sweep_matches_closed_form(k, data, ell_min, length):
     assert values == [p_jump_exact(ell, k, q) for ell in range(ell_min, ell_min + length + 1)]
 
 
+def test_jump_pattern_is_the_plain_pattern_over_q_letters():
+    # Mapping each letter to its block makes the word uniform over q letters
+    # and the pattern 0..q-1: p_jump(ell, k, q) = p(ell, q), and 0 at q = 1.
+    for k in range(2, 61):
+        for q in divisors(k):
+            for ell in range(1, 81):
+                expected = p_jump_closed_form(ell, k, q)
+                assert p_jump_exact(ell, k, q) == expected, (ell, k, q)
+                assert expected == (0 if q == 1 else coupon.p_exact(ell, q)), (ell, k, q)
+
+
+@given(st.integers(1, 240), st.integers(1, 60), st.integers(0, 180), st.integers(0, 10**40))
+@example(q=12, ell=40, a=0, u=0)  # missing = 0
+@example(q=12, ell=40, a=40, u=1)  # missing = q^ell
+@example(q=6, ell=40, a=30, u=5)  # 6^16 and 6^30 at c = 16: the full gcd
+@example(q=12, ell=2, a=1, u=7)  # 2c >= ell at once: the full gcd
+@example(q=12, ell=9, a=1, u=2)  # gcd 12 with 12, 24 with 12^2 and 12^4
+@settings(max_examples=300, deadline=None)
+def test_common_factor_is_the_gcd(q, ell, a, u):
+    missing = q ** (a % (3 * ell + 1)) * u
+    assert coupon._common_factor(Decimal(missing), q, ell) == math.gcd(missing, q**ell)
+
+
+def test_sweep_arithmetic_is_exact_or_raises():
+    # Exact quotients are plain integers; a result that must round raises.
+    assert str(coupon._EXACT.divide_int(Decimal(10**60), 10**20)) == str(10**40)
+    assert str(coupon._EXACT.multiply(Decimal(3**400), 7**90)) == str(3**400 * 7**90)
+    with pytest.raises(decimal.Inexact):
+        coupon._EXACT.to_integral_exact(Decimal("2.5"))
+
+
 def test_sweep_plain_is_q_equal_k():
     assert list(p_jump_sweep(5, 5, 1, 30)) == [p_jump_exact(ell, 5, 5) for ell in range(1, 31)]
 
@@ -208,6 +242,15 @@ def test_bounds_are_inf_past_the_float_range():
     # expression bit for bit.
     assert p_jump_bound(1700, 300) == math.inf
     assert p_jump_bound(40, 6) == math.exp(-40 / 6) * (2.0 * 40 / 6) ** 6
+
+
+@pytest.mark.parametrize("ell,q", [(80000, 100), (70000, 100), (8880, 12), (1417, 2)])
+def test_bound_where_a_factor_leaves_the_float_range(ell, q):
+    # exp(-ell/q) is subnormal or 0, or (2 ell/q)^q overflows, while the
+    # bound is a normal float.
+    with decimal.localcontext(decimal.Context(prec=50)):
+        reference = (Decimal(-ell) / q).exp() * (Decimal(2 * ell) / q) ** q
+    assert p_jump_bound(ell, q) == pytest.approx(float(reference), rel=1e-12)
 
 
 def test_p_jump_bound_rejects_short():

@@ -247,7 +247,9 @@ def test_golden_sweep_jump_csv(tmp_path, capsys):
 # sha256 of sweep stdout, captured from the closed form before sweeps ran on
 # the recurrence: large k (numerators of ~950 and ~2900 digits), q = 1
 # (every row 0), q = k (the plain values under a q column) and a window that
-# starts far past q.
+# starts far past q.  The windows from ell 801 to 1600, which the benchmark's
+# coupon jobs reach, were captured from the integer recurrence before rows
+# were computed in decimal arithmetic.
 SWEEP_STDOUT_GOLDEN = {
     ("-k", 239, "--ell-min", 1, "--ell-max", 400):
         "3667f3807df7727244131ec57acd514ba049f7453d638e420c6c29dc439fa9fa",
@@ -263,6 +265,16 @@ SWEEP_STDOUT_GOLDEN = {
         "d4970705dfa82c2a9abbefbae5e6b57d97e3db318626c07c1b9d8995a362a915",
     ("-k", 12, "-q", 12, "--ell-min", 1, "--ell-max", 30):
         "4aa39bffcf5a066828f3cc4170f2da69570cf7c9e84c33d6c35ff658064e2cff",
+    ("-k", 239, "--ell-min", 801, "--ell-max", 1200):
+        "1a29d7b577bae5794224c9bdc41c3e21039468e3db7c9b08e645cc9b4e52bac6",
+    ("-k", 239, "--ell-min", 1201, "--ell-max", 1600):
+        "17ff9351e10d8d2198ace4fef8f5000d52e67be81d8475b0bda9c7c7c359facc",
+    ("-k", 240, "-q", 12, "--ell-min", 801, "--ell-max", 1200):
+        "a76614057dc3a31fa668711d651e04d613b4294a9671f495a0ac46af77e3f65c",
+    ("-k", 240, "-q", 12, "--ell-min", 1201, "--ell-max", 1600):
+        "515f1f893e1ae68610fde9282de1f1f2d77e3eb0f961ad9de228d3d01fa80050",
+    ("-k", 27, "-q", 3, "--ell-min", 1201, "--ell-max", 1600):
+        "5443210ccfe9c048a4c2261d31972e287c14f55b7c6198b7003ef4b9a9b09f1e",
 }
 
 
