@@ -2,8 +2,10 @@
 """The coupon-subsequence probabilities behind the size analysis: exact
 rationals, the recurrence sweep, analytic bounds, and Monte Carlo."""
 
+from fractions import Fraction
+
 from permsel import p_jump_bound, p_jump_exact, p_monte_carlo
-from permsel.coupon import p_jump_sweep
+from permsel.coupon import p_jump_rows
 
 print("=" * 70)
 print("P[uniform length-ell sequence over {0..k-1} misses 0,1,...,k-1")
@@ -12,8 +14,8 @@ print("=" * 70)
 print(f"{'ell':>4} {'k':>3} {'exact':>12} {'swept':>12} {'bound':>10}")
 for k in (2, 3):
     # The plain pattern is the jump pattern with q = k blocks.
-    for ell, swept in zip(range(k, k + 6), p_jump_sweep(k, k, k, k + 5)):
-        exact = p_jump_exact(ell, k, k)
+    for ell, (num, den) in zip(range(k, k + 6), p_jump_rows(k, k, k, k + 5)):
+        exact, swept = p_jump_exact(ell, k, k), Fraction(int(num), int(den))
         assert exact == swept
         print(f"{ell:>4} {k:>3} {str(exact):>12} {str(swept):>12} {p_jump_bound(ell, k):>10.4f}")
 

@@ -16,16 +16,16 @@ last-stage word followed by the letter q-1, so
     S(ell+1) = q S(ell) - A(ell),
     A(ell+1) = A(ell) (q-1) (ell+1) / (ell+2-q)    (an exact division).
 
-`p_jump_rows` runs this recurrence on `decimal.Decimal` integers in a
-context that holds any integer and traps rounding: CPython's `str(int)`
-and `math.gcd` take time quadratic in the digits, libmpdec's products,
-exact divisions by a small int and `str()` linear time.  A row's common
-factor g = gcd(S, q^ell) needs remainders mod q^c only: if
-gcd(S, q^c) = gcd(S, q^2c), then v_p(S) <= c v_p(q) for every prime p of
-q, so g = gcd(S, q^c), and a row costs time linear in its digits.  Floats
-appear only in the bounds and estimators; the bound base exp(-1/q) of the
-jump chain is unrelated to the isolation probability `isolation_gamma`
-below despite the notational similarity.
+`p_jump_rows` runs this recurrence on `decimal.Decimal` integers, where a
+step that would round or leave a remainder raises: CPython's `str(int)` and
+`math.gcd` take time quadratic in the digits, libmpdec's products, divisions
+by a small int and `str()` linear time.  A row's common factor
+g = gcd(S, q^ell) needs remainders mod q^c only: if gcd(S, q^c) =
+gcd(S, q^2c), then v_p(S) <= c v_p(q) for every prime p of q, so
+g = gcd(S, q^c), and a row costs time linear in its digits.  Floats appear
+only in the bounds and estimators; the bound base exp(-1/q) of the jump
+chain is unrelated to the isolation probability `isolation_gamma` below
+despite the notational similarity.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def p_jump_rows(k: int, q: int, ell_min: int,
     """The numerator and denominator of p_jump_exact(ell, k, q) in lowest
     terms, as decimal integers, for ell = ell_min..ell_max in order, by the
     recurrence in the module docstring.  The inputs are checked here, before
-    the first row is computed, and an empty range is an error.
-    """
+    the first row is computed, and an empty range is an error."""
     _validate_jump(ell_min, k, q)
     if ell_max < ell_min:
         raise ValueError(f"ell_max must be at least ell_min, got ell_min={ell_min}, "
@@ -111,26 +110,26 @@ def p_jump_rows(k: int, q: int, ell_min: int,
     return _sweep(q, ell_min, ell_max)
 
 
-def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
-    """p_jump_exact(ell, k, q) for ell = ell_min..ell_max: `p_jump_rows`."""
-    return (Fraction(int(num), int(den)) for num, den in p_jump_rows(k, q, ell_min, ell_max))
-
-
 def _sweep(q: int, ell_min: int, ell_max: int) -> Iterator[tuple[decimal.Decimal, decimal.Decimal]]:
-    missing, words = decimal.Decimal(_missing_words(ell_min, q)), _EXACT.power(q, ell_min)
-    # Words at the last greedy stage, q - 1; there are none while ell < q - 1.
-    last = decimal.Decimal(comb(ell_min, q - 1) * (q - 1) ** max(0, ell_min - q + 1))
-    for ell in range(ell_min, ell_max + 1):
-        if ell < q:  # the pattern cannot fit: p = 1
-            yield decimal.Decimal(1), decimal.Decimal(1)
-        else:
-            g = _common_factor(missing, q, ell)
-            yield _EXACT.divide_int(missing, g), _EXACT.divide_int(words, g)
+    for _ in range(ell_min, min(q, ell_max + 1)):  # the pattern cannot fit: p = 1
+        yield decimal.Decimal(1), decimal.Decimal(1)
+    start = max(ell_min, q)
+    missing, words = decimal.Decimal(_missing_words(start, q)), _EXACT.power(q, start)
+    # Words at the last greedy stage, q - 1 (none at q = 1).
+    last = decimal.Decimal(comb(start, q - 1) * (q - 1) ** (start - q + 1))
+    for ell in range(start, ell_max + 1):
+        g = _common_factor(missing, q, ell)
+        yield _quotient(missing, g), _quotient(words, g)
         missing, words = _EXACT.subtract(_EXACT.multiply(missing, q), last), _EXACT.multiply(words, q)
-        if ell + 1 == q - 1:
-            last = decimal.Decimal(1)
-        elif ell + 1 > q - 1:
-            last = _EXACT.divide_int(_EXACT.multiply(last, (q - 1) * (ell + 1)), ell + 2 - q)
+        last = _quotient(_EXACT.multiply(last, (q - 1) * (ell + 1)), ell + 2 - q)
+
+
+def _quotient(x: decimal.Decimal, d: int) -> decimal.Decimal:
+    """x / d, exact by construction: a remainder raises `decimal.Inexact`."""
+    quotient, rest = _EXACT.divmod(x, d)
+    if rest:
+        raise decimal.Inexact(f"the sweep divided by {d} with a remainder")
+    return quotient
 
 
 def _common_factor(missing: decimal.Decimal, q: int, ell: int) -> int:

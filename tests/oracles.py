@@ -2,21 +2,22 @@
 
 They are slow or exhaustive on purpose, and nothing in `permsel` calls
 them: the enumeration oracle of the coupon probabilities, their closed
-form over all k letters (the package computes over q), the simulated
-isolation-count tail, the isolation test of one set written from the
-definition, the word-by-word selector parse that the parse converting each
-distinct word once must match, the per-set draw loop that
-`random_selector`'s chunked draw reproduces bit for bit, the active-path
-DFS of the quasi-gossip analysis, an independent copy of the collision
-rule that audits a recorded run, and the earlier resolve-and-format body
-of `radio.step` that a set's stored outcome is checked against.
+form over all k letters (the package computes over q), the sweep's rows
+as `Fraction`s, the simulated isolation-count tail, the isolation test of
+one set written from the definition, the word-by-word selector parse that
+the parse converting each distinct word once must match, the per-set draw
+loop that `random_selector`'s chunked draw reproduces bit for bit, the
+active-path DFS of the quasi-gossip analysis, an independent copy of the
+collision rule that audits a recorded run, and the earlier
+resolve-and-format body of `radio.step` that a set's stored outcome is
+checked against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -63,6 +64,12 @@ def p_jump_closed_form(ell: int, k: int, q: int) -> Fraction:
     b = k // q
     return Fraction(sum(math.comb(ell, j) * b**j * (k - b) ** (ell - j)
                         for j in range(min(q, ell + 1))), k**ell)
+
+
+def p_jump_sweep(k: int, q: int, ell_min: int, ell_max: int) -> Iterator[Fraction]:
+    """p_jump_exact(ell, k, q) for ell = ell_min..ell_max: the rows of
+    `coupon.p_jump_rows`, which checks its inputs at the call."""
+    return (Fraction(int(num), int(den)) for num, den in coupon.p_jump_rows(k, q, ell_min, ell_max))
 
 
 def chernoff_tail_empirical(m: int, k: int, trials: int, seed: int = 0) -> tuple[float, float]:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from oracles import p_jump_sweep
 import permsel
 from permsel import build, cli, coupon, radio
 from permsel.cli import _ratio, build_parser, main
@@ -301,12 +302,20 @@ def decimal_digits(text):
         sys.set_int_max_str_digits(previous)
 
 
-def test_prob_huge_exact_value_prints_in_full(capsys):
+def test_prob_huge_exact_value_prints_in_full(capsys, monkeypatch):
     # The numerator has more digits than Python converts to a string by
     # default; the limit is lifted for the output and restored after.
+    lifted, unlimited = [], cli._unlimited_int_digits
+
+    @contextlib.contextmanager
+    def spy():
+        with unlimited():
+            lifted.append(sys.get_int_max_str_digits())
+            yield
+    monkeypatch.setattr(cli, "_unlimited_int_digits", spy)
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "prob", "--ell", "20000", "-k", "50")
-    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit and lifted == [0]
     fields = out.split(" ")
     num, den = fields[0].removeprefix("p_exact=").split("/")
     assert len(num) > limit and len(den) > limit
@@ -322,42 +331,19 @@ def test_prob_prints_where_python_has_no_digit_limit(capsys, monkeypatch):
         0, "p_exact=1971/2048 p_bound=18.073542972022814 ratio=18.779612382903462\n", "")
 
 
-def test_sweep_huge_exact_value_prints_in_full(capsys):
-    # The denominator divides 50^2600, which has 4418 digits.
+def test_sweep_huge_exact_value_prints_in_full(capsys, monkeypatch):
+    # The denominator divides 50^2600, which has 4418 digits.  Rows are
+    # decimal integers, which str() prints without lifting the limit.
+    def refuse():
+        raise AssertionError("sweep lifted the int-to-str limit")
+    monkeypatch.setattr(cli, "_unlimited_int_digits", refuse)
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "sweep", "-k", "50", "--ell-min", "2600", "--ell-max", "2600")
     assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
     ell, k, q, num, den, bound = out.splitlines()[1].split(",")
     assert (ell, k, q) == ("2600", "50", "") and len(den) > limit and float(bound) > 0
-    [exact] = coupon.p_jump_sweep(50, 50, 2600, 2600)
+    [exact] = p_jump_sweep(50, 50, 2600, 2600)
     assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
-
-
-def test_sweep_prints_without_lifting_the_int_to_str_limit(capsys, monkeypatch):
-    # Rows are decimal integers, which str() prints whatever their length.
-    def refuse():
-        raise AssertionError("sweep lifted the int-to-str limit")
-    monkeypatch.setattr(cli, "_unlimited_int_digits", refuse)
-    code, out, err = run(capsys, "sweep", "-k", "50", "--ell-min", "2600", "--ell-max", "2600")
-    assert (code, err) == (0, "")
-    num, den = out.splitlines()[1].split(",")[3:5]
-    [exact] = coupon.p_jump_sweep(50, 50, 2600, 2600)
-    assert len(den) > sys.get_int_max_str_digits()
-    assert (decimal_digits(num), decimal_digits(den)) == (exact.numerator, exact.denominator)
-
-
-def test_prob_lifts_the_int_to_str_limit_and_restores_it(capsys, monkeypatch):
-    lifted, unlimited = [], cli._unlimited_int_digits
-
-    @contextlib.contextmanager
-    def spy():
-        with unlimited():
-            lifted.append(sys.get_int_max_str_digits())
-            yield
-    monkeypatch.setattr(cli, "_unlimited_int_digits", spy)
-    limit = sys.get_int_max_str_digits()
-    assert run(capsys, "prob", "--ell", "20000", "-k", "50")[0] == 0
-    assert lifted == [0] and sys.get_int_max_str_digits() == limit
 
 
 def test_prob_ratio_when_exact_value_underflows_a_float(capsys):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (DEFAULT_ENUM_BUDGET, chernoff_tail_empirical, p_jump_bruteforce,
-                     p_jump_closed_form)
+                     p_jump_closed_form, p_jump_sweep)
 from permsel import coupon
 from permsel.coupon import (
     MC_CHUNK,
@@ -22,7 +22,6 @@ from permsel.coupon import (
     jump_blocks,
     p_jump_bound,
     p_jump_exact,
-    p_jump_sweep,
     p_monte_carlo,
     union_bound_value,
 )
@@ -189,11 +188,12 @@ def test_common_factor_is_the_gcd(q, ell, a, u):
 
 
 def test_sweep_arithmetic_is_exact_or_raises():
-    # Exact quotients are plain integers; a result that must round raises.
-    assert str(coupon._EXACT.divide_int(Decimal(10**60), 10**20)) == str(10**40)
+    # Every division of the sweep checks its remainder; the grid tests above
+    # run it on every row.  Products and quotients are plain integers.
+    assert str(coupon._quotient(Decimal(10**60), 10**20)) == str(10**40)
     assert str(coupon._EXACT.multiply(Decimal(3**400), 7**90)) == str(3**400 * 7**90)
     with pytest.raises(decimal.Inexact):
-        coupon._EXACT.to_integral_exact(Decimal("2.5"))
+        coupon._quotient(Decimal(3**400 * 7 + 1), 7)
 
 
 def test_sweep_plain_is_q_equal_k():

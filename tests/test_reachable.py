@@ -25,8 +25,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "permsel"
 ALLOWED = {
     "p_exact": "perfbench/tracer.py wraps it by name",
     "p_bound": "perfbench/tracer.py wraps it by name",
-    "p_jump_sweep": "the Fractions of p_jump_rows, which demos/03 and the tests read; "
-                    "sweep prints the decimal rows themselves",
     "network_to_text": "it writes the format network_from_text reads, so radio "
                        "stays the one owner of the network file format",
 }
