@@ -113,7 +113,8 @@ def p_jump_rows(k: int, q: int, ell_min: int,
 def _sweep(q: int, ell_min: int, ell_max: int) -> Iterator[tuple[decimal.Decimal, decimal.Decimal]]:
     for _ in range(ell_min, min(q, ell_max + 1)):  # the pattern cannot fit: p = 1
         yield decimal.Decimal(1), decimal.Decimal(1)
-    start = max(ell_min, q)
+    if (start := max(ell_min, q)) > ell_max:  # every row was p = 1
+        return
     missing, words = decimal.Decimal(_missing_words(start, q)), _EXACT.power(q, start)
     # Words at the last greedy stage, q - 1 (none at q = 1).
     last = decimal.Decimal(comb(start, q - 1) * (q - 1) ** (start - q + 1))

@@ -200,6 +200,12 @@ def test_sweep_plain_is_q_equal_k():
     assert list(p_jump_sweep(5, 5, 1, 30)) == [p_jump_exact(ell, 5, 5) for ell in range(1, 31)]
 
 
+def test_sweep_below_q_computes_no_count():
+    # Rows with ell < q are 1/1 without a count; the count at ell = q = 10^5
+    # would take minutes.
+    assert list(p_jump_sweep(10**5, 10**5, 1, 3)) == [1, 1, 1]
+
+
 @pytest.mark.parametrize("args", [(1, 1, 5, 4), (7, 3, 5, 4), (7, 1, 0, -1), (7, 1, 5, 4),
                                   (4, 0, 1, 3), (4, 8, 1, 3)])
 def test_sweep_checks_inputs_at_the_call(args):
